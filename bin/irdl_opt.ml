@@ -34,9 +34,10 @@
    `--pass-timing`/`--pass-timing-json` report per-pass wall-clock time;
    `--print-ir-before/-after[-all]` snapshot the IR around passes; and
    `--verify-each` re-runs the (memoized) verifier between passes so a
-   pass that breaks IR invariants is caught and attributed by name. The
-   historical `--dce`/`--cse`/`--dominance` flags remain as deprecated
-   aliases that desugar into pipeline entries. *)
+   pass that breaks IR invariants is caught and attributed by name.
+
+   Every chunk of every input goes through [Irdl_driver.Job], the document
+   pipeline the resident server runs too. *)
 
 open Cmdliner
 module Diag = Irdl_support.Diag
@@ -48,6 +49,8 @@ module Bytecode = Irdl_bytecode.Bytecode
 module Frontend = Irdl_bytecode.Frontend
 module Source = Frontend.Source
 module Server = Irdl_server.Server
+module Job = Irdl_driver.Job
+module Pass_manager = Irdl_pass.Pass_manager
 
 let write_binary path data =
   if path = "-" then begin
@@ -87,21 +90,6 @@ let with_out_channel path f =
         f ppf;
         Format.pp_print_flush ppf ())
 
-(* The deprecated boolean flags desugar into pipeline entries, in the
-   historical execution order (dominance check, pattern application, CSE,
-   DCE). With an explicit --pass-pipeline the alias entries are appended
-   after it; the parser then reports duplicates uniformly. *)
-let effective_pipeline ~pipeline ~have_patterns ~dce ~cse ~dominance =
-  let explicit = Option.is_some pipeline in
-  let entries =
-    Option.to_list pipeline
-    @ (if dominance then [ "verify-dominance" ] else [])
-    @ (if have_patterns && not explicit then [ "canonicalize" ] else [])
-    @ (if cse then [ "cse" ] else [])
-    @ if dce then [ "dce" ] else []
-  in
-  if entries = [] then None else Some (String.concat "," entries)
-
 (* --batch PATH: a directory (every *.mlir / *.irdlbc in it, sorted) or a
    text file listing one IR path per line ('#' comments and blank lines
    skipped). *)
@@ -118,9 +106,9 @@ let batch_inputs path =
 
 let run dialect_files pattern_files with_corpus with_cmath input generic
     verify_only split_input_file verify_diagnostics max_errors diag_json
-    pipeline dce cse dominance verify_each print_ir_before print_ir_after
-    print_ir_before_all print_ir_after_all pass_timing pass_timing_json strict
-    verify_stats jobs batch streaming no_streaming emit_bytecode load_bytecode
+    pipeline verify_each print_ir_before print_ir_after print_ir_before_all
+    print_ir_after_all pass_timing pass_timing_json strict verify_stats jobs
+    batch no_streaming emit_bytecode load_bytecode
     emit_dialect_bytecode serve listen connect failpoints_spec max_queue
     max_ops max_region_depth max_payload_bytes deadline_ms verbose =
   setup_logs verbose;
@@ -270,8 +258,9 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
      fails fast. Pipeline text carries no annotations to expect diagnostics
      against, so this is fatal even under --verify-diagnostics. *)
   let pipeline_src =
-    effective_pipeline ~pipeline ~have_patterns:(patterns <> []) ~dce ~cse
-      ~dominance
+    match pipeline with
+    | None when patterns <> [] -> Some "canonicalize"
+    | _ -> pipeline
   in
   let passes =
     match pipeline_src with
@@ -324,177 +313,68 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
     Logs.info (fun m -> m "served %d request(s)" answered);
     finish 0
   end;
-  if streaming && no_streaming then begin
-    Fmt.epr "irdl-opt: --streaming and --no-streaming are mutually exclusive@.";
-    finish 1
-  end;
-  (* Materialize-vs-stream decision: a pass pipeline transforms the module
-     as a whole, so it needs every op resident; --verify-stats reports
-     cache counters of exactly the work the materializing semantics define
+  (* One chunk's pipeline. Streaming unless --no-streaming asks for the
+     materializing reference path, or --verify-stats asks for the cache
+     counters of exactly the work the materializing semantics define
      (streaming eagerly verifies ops of chunks that later parse-fail, so
-     its counters would differ); everything else (verify, re-print,
-     --verify-diagnostics) is per-op and streams by default. *)
-  let use_streaming =
-    if no_streaming then false
-    else if passes = [] && not verify_stats then true
-    else begin
-      if streaming then
-        Logs.warn (fun m ->
-            m
-              "--streaming ignored: %s; using the materializing parser"
-              (if passes <> [] then
-                 "a pass pipeline needs the whole module resident"
-               else "--verify-stats counts materializing-semantics work"));
-      false
-    end
+     its counters would differ). A pass pipeline always materializes. The
+     deadline clock starts here: dialect loading is setup, not input
+     processing. *)
+  let job =
+    {
+      Job.default with
+      streaming = not (no_streaming || verify_stats);
+      pipeline =
+        (if passes = [] then None
+         else
+           Some
+             (Pass_manager.create ~verify_each ~print_ir_before
+                ~print_ir_after ~print_ir_before_all ~print_ir_after_all
+                passes));
+      sink =
+        (if verify_only || verify_diagnostics then Job.Discard
+         else if Option.is_some emit_bytecode then Job.Bytecode
+         else Job.Text);
+      generic;
+      limits =
+        (if deadline_ms > 0 then Limits.with_deadline_ms base_limits deadline_ms
+         else base_limits);
+    }
   in
-  (* Run a pipeline over [ops], reporting to [engine]. [timing] carries the
-     --pass-timing[-json] sinks on the sequential path; parallel workers
-     pass [None] (those flags force sequential execution). *)
-  let run_passes ~engine ~verify_failed ~timing passes ops =
-    (* Run the pipeline (even over an empty module: the timing report is
-       still produced, with every pass at zero ops). *)
-    let mgr =
-      Irdl_pass.Pass_manager.create ~verify_each ~print_ir_before
-        ~print_ir_after ~print_ir_before_all ~print_ir_after_all passes
-    in
-    match Irdl_pass.Pass_manager.run mgr ctx ops with
-    | Error d ->
-        Diag.Engine.emit engine d;
-        verify_failed := true
-    | Ok report -> (
-        (* Whatever ran — CSE and DCE included — the transformed IR must
-           still verify, pipeline instrumentation or not. *)
-        let post = Irdl_ir.Verifier.verify_ops_all ctx ops in
-        List.iter (Diag.Engine.emit engine) post;
-        if post <> [] then verify_failed := true;
-        match timing with
-        | None -> ()
-        | Some (pass_timing, pass_timing_json) ->
-            Option.iter
-              (fun path ->
-                with_out_channel path (fun ppf ->
-                    Irdl_pass.Pass_manager.pp_report ppf report))
-              pass_timing;
-            Option.iter
-              (fun path ->
-                let json = Irdl_pass.Pass_manager.report_to_json report in
-                if path = "-" then print_string json
-                else
-                  let oc = open_out path in
-                  output_string oc json;
-                  close_out oc)
-              pass_timing_json)
-  in
-  (* --emit-bytecode switches every output sink from the textual printer
-     to the bytecode emitter; everything else (chunking, verification,
-     parallelism, exit codes) is format-independent. *)
-  let emit_binary = Option.is_some emit_bytecode in
-  (* The one-shot budget. The deadline clock starts here — dialect loading
-     is setup, not input processing. *)
-  let run_limits =
-    if deadline_ms > 0 then Limits.with_deadline_ms base_limits deadline_ms
-    else base_limits
-  in
-  (* One input chunk through the streaming frontend: parse (or decode),
-     verify, emit and release one top-level op at a time, so peak memory
-     is bounded by the largest op rather than the chunk. Byte-identical to
-     the materializing path below: parse diagnostics flow through the
-     shared engine in parse order; per-op verification results are held
-     back and merged into [Verifier.verify_ops_all]'s stable order at
-     end-of-stream (and discarded on a parse failure, which skips
-     verification there too); output flows through one [Frontend.Sink]
-     session — the textual sink joins exactly like
-     [Printer.ops_to_string]. *)
-  let process_chunk_stream ~engine ~path payload =
-    let e0 = Diag.Engine.error_count engine in
-    let parse_failed = ref false and verify_failed = ref false in
-    let output = ref None in
-    let want_output = not (verify_only || verify_diagnostics) in
-    let session =
-      Frontend.Stream.create ~file:path ~engine ~limits:run_limits ctx payload
-    in
-    let sink =
-      if emit_binary then Frontend.Sink.bytecode ()
-      else Frontend.Sink.text ~generic ctx
-    in
-    let vdiags = ref [] in
-    let rec drain () =
-      match Frontend.Stream.next session with
-      | Ok None | Error _ -> ()
-      | Ok (Some op) ->
-          vdiags := Irdl_ir.Verifier.verify_all ctx op :: !vdiags;
-          if want_output then Frontend.Sink.push sink op;
-          Frontend.Stream.release op;
-          drain ()
-    in
-    drain ();
-    if Diag.Engine.error_count engine > e0 then parse_failed := true
-    else begin
-      let diags =
-        Irdl_ir.Verifier.merge_diags (List.concat (List.rev !vdiags))
-      in
-      List.iter (Diag.Engine.emit engine) diags;
-      if diags <> [] then verify_failed := true
-      else if want_output && Diag.Engine.error_count engine = e0 then
-        match Frontend.Sink.close sink with
-        | Ok out -> output := Some out
-        | Error d ->
-            Diag.Engine.emit engine d;
-            verify_failed := true
-    end;
-    (!parse_failed, !verify_failed, !output)
-  in
-  (* One input chunk, against an arbitrary engine: the sequential driver
-     passes the main engine, parallel workers a local one (replayed in
-     input order afterwards). Returns (parse_failed, verify_failed,
-     printed output). A chunk that fails to parse or verify never blocks
-     the chunks after it. *)
-  let process_chunk ~engine ~streaming ~timing passes ~path payload =
+  (* The sequential driver passes the main engine, parallel workers a
+     local one (replayed in input order afterwards). A chunk that fails to
+     parse or verify never blocks the chunks after it. *)
+  let process_chunk ~engine ~path payload =
     if load_bytecode && not (Source.is_binary payload) then begin
       Diag.Engine.emit engine
         (Diag.error
            ~loc:(Irdl_support.Loc.point (Irdl_support.Loc.start_of_file path))
            "--load-bytecode: input is not IRDL bytecode (bad magic)");
-      (true, false, None)
+      { Job.parse_failed = true; verify_failed = false; output = None;
+        report = None }
     end
-    else if streaming && passes = [] then
-      process_chunk_stream ~engine ~path payload
-    else begin
-      let e0 = Diag.Engine.error_count engine in
-      let parse_failed = ref false and verify_failed = ref false in
-      let output = ref None in
-      let ops =
-        Frontend.parse_module ~file:path ~engine ~limits:run_limits ctx payload
-        |> Result.value ~default:[]
-      in
-      if Diag.Engine.error_count engine > e0 then parse_failed := true
-      else begin
-        let vdiags = Irdl_ir.Verifier.verify_ops_all ctx ops in
-        List.iter (Diag.Engine.emit engine) vdiags;
-        if vdiags <> [] then verify_failed := true
-        else begin
-          if passes <> [] then
-            run_passes ~engine ~verify_failed ~timing passes ops;
-          if
-            (not (verify_only || verify_diagnostics))
-            && Diag.Engine.error_count engine = e0
-          then begin
-            let sink =
-              if emit_binary then Frontend.Sink.bytecode ()
-              else Frontend.Sink.text ~generic ctx
-            in
-            List.iter (Frontend.Sink.push sink) ops;
-            match Frontend.Sink.close sink with
-            | Ok out -> output := Some out
-            | Error d ->
-                Diag.Engine.emit engine d;
-                verify_failed := true
-          end
-        end
-      end;
-      (!parse_failed, !verify_failed, !output)
-    end
+    else Job.run ctx job ~engine ~path payload
+  in
+  (* The --pass-timing[-json] sinks, written once per chunk on the
+     sequential path (those flags force it). *)
+  let write_timing report =
+    Option.iter
+      (fun path ->
+        with_out_channel path (fun ppf -> Pass_manager.pp_report ppf report))
+      pass_timing;
+    Option.iter
+      (fun path ->
+        let json = Pass_manager.report_to_json report in
+        if path = "-" then print_string json
+        else
+          let oc = open_out path in
+          output_string oc json;
+          close_out oc)
+      pass_timing_json
+  in
+  let note (r : Job.result) =
+    if r.parse_failed then parse_failed := true;
+    if r.verify_failed then verify_failed := true
   in
   if Option.is_some batch && Option.is_some input then begin
     Fmt.epr "irdl-opt: --batch cannot be combined with a positional INPUT@.";
@@ -531,10 +411,13 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
   in
   (match docs with
   | [] when batch = None ->
-      if passes <> [] then
-        run_passes ~engine ~verify_failed
-          ~timing:(Some (pass_timing, pass_timing_json))
-          passes []
+      if passes <> [] then begin
+        (* No input: the pipeline runs over an empty module, which still
+           produces the timing report. *)
+        let r = Job.run ctx job ~engine ~path:"<empty>" (Source.Text "") in
+        note r;
+        Option.iter write_timing r.report
+      end
       else if not verify_diagnostics then
         Fmt.pr "registered dialects: %s@."
           (String.concat ", "
@@ -585,14 +468,12 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
             let src = fetch_doc fetch in
             List.iter
               (fun chunk ->
-                let pf, vf, out =
-                  process_chunk ~engine ~streaming:use_streaming
-                    ~timing:(Some (pass_timing, pass_timing_json))
-                    passes ~path chunk
-                in
-                if pf then parse_failed := true;
-                if vf then verify_failed := true;
-                Option.iter (fun o -> doc_outs.(di) <- o :: doc_outs.(di)) out)
+                let r = process_chunk ~engine ~path chunk in
+                note r;
+                Option.iter write_timing r.report;
+                Option.iter
+                  (fun o -> doc_outs.(di) <- o :: doc_outs.(di))
+                  r.output)
               (chunks_of src);
             (* This document's diagnostics are flushed (handlers render at
                emit time): drop its buffer so a long --batch run does not
@@ -617,24 +498,10 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
               let rendered = ref [] in
               Diag.Engine.add_handler worker_engine (fun d ->
                   rendered := (d, Fmt.str "%a" Diag.pp_rendered d) :: !rendered);
-              (* Pass instances are cheap per-chunk values; re-deriving
-                 them here keeps workers from sharing any pass state. The
-                 string parsed fine on the main domain, so it parses
-                 fine here. *)
-              let wpasses =
-                match pipeline_src with
-                | None -> []
-                | Some src ->
-                    Diag.get_ok
-                      (Irdl_pass.Pipeline.parse
-                         ~available:(Irdl_pass.Passes.builtin ~patterns ())
-                         src)
-              in
-              let pf, vf, out =
-                process_chunk ~engine:worker_engine ~streaming:use_streaming
-                  ~timing:None wpasses ~path chunk
-              in
-              (List.rev !rendered, pf, vf, out))
+              (* Passes and patterns are immutable values, so workers
+                 share the one pass manager. *)
+              let r = process_chunk ~engine:worker_engine ~path chunk in
+              (List.rev !rendered, r))
             tasks
         in
         let results =
@@ -645,16 +512,17 @@ let run dialect_files pattern_files with_corpus with_cmath input generic
            engine, pre-rendered text straight to stderr — byte-identical
            to the sequential printer handler. *)
         Array.iteri
-          (fun i (diags, pf, vf, out) ->
+          (fun i (diags, r) ->
             let di, _, _ = tasks.(i) in
             List.iter
               (fun (d, rendered) ->
                 Diag.Engine.record engine d;
                 if not verify_diagnostics then Fmt.epr "%s@." rendered)
               diags;
-            if pf then parse_failed := true;
-            if vf then verify_failed := true;
-            Option.iter (fun o -> doc_outs.(di) <- o :: doc_outs.(di)) out)
+            note r;
+            Option.iter
+              (fun o -> doc_outs.(di) <- o :: doc_outs.(di))
+              r.Job.output)
           results
       end;
       (match emit_bytecode with
@@ -809,30 +677,6 @@ let pipeline =
            pattern rewriting, uses the patterns of $(b,-p)), cse, dce, \
            verify-dominance.")
 
-let dce =
-  Arg.(
-    value & flag
-    & info [ "dce" ]
-        ~doc:
-          "Deprecated alias: appends 'dce' to the pass pipeline \
-           (equivalent to --pass-pipeline dce).")
-
-let cse =
-  Arg.(
-    value & flag
-    & info [ "cse" ]
-        ~doc:
-          "Deprecated alias: appends 'cse' to the pass pipeline \
-           (equivalent to --pass-pipeline cse).")
-
-let dominance =
-  Arg.(
-    value & flag
-    & info [ "dominance" ]
-        ~doc:
-          "Deprecated alias: appends 'verify-dominance' to the pass \
-           pipeline (equivalent to --pass-pipeline verify-dominance).")
-
 let verify_each =
   Arg.(
     value & flag
@@ -921,19 +765,6 @@ let batch =
            comments allowed). Each file's re-printed output is preceded \
            by a '// ===== <path> =====' header. Cannot be combined with a \
            positional $(b,INPUT).")
-
-let streaming =
-  Arg.(
-    value & flag
-    & info [ "streaming" ]
-        ~doc:
-          "Force the streaming frontend: parse, verify, re-print and \
-           release one top-level operation at a time, bounding peak memory \
-           by the largest single operation instead of the whole module. \
-           This is already the default whenever no pass pipeline runs; \
-           with passes (which transform the module as a whole) the flag \
-           warns and falls back to the materializing parser. Output, exit \
-           code and $(b,--diag-json) are byte-identical either way.")
 
 let no_streaming =
   Arg.(
@@ -1081,10 +912,10 @@ let cmd =
     Term.(
       const run $ dialect_files $ pattern_files $ with_corpus $ with_cmath
       $ input $ generic $ verify_only $ split_input_file $ verify_diagnostics
-      $ max_errors $ diag_json $ pipeline $ dce $ cse $ dominance
-      $ verify_each $ print_ir_before $ print_ir_after $ print_ir_before_all
-      $ print_ir_after_all $ pass_timing $ pass_timing_json $ strict
-      $ verify_stats $ jobs $ batch $ streaming $ no_streaming $ emit_bytecode
+      $ max_errors $ diag_json $ pipeline $ verify_each $ print_ir_before
+      $ print_ir_after $ print_ir_before_all $ print_ir_after_all
+      $ pass_timing $ pass_timing_json $ strict $ verify_stats $ jobs $ batch
+      $ no_streaming $ emit_bytecode
       $ load_bytecode $ emit_dialect_bytecode $ serve $ listen $ connect
       $ failpoints $ max_queue $ max_ops $ max_region_depth
       $ max_payload_bytes $ deadline_ms $ verbose)

@@ -129,19 +129,19 @@ let parse_module ?file ?engine ?limits ctx payload =
   | Source.Text s -> Ir_parser.parse_ops ?file ?engine ?limits ctx s
   | Source.Binary b -> Bytecode.read_module ?file ?engine ?limits ctx b
 
-let load_dialects ?native ?compile ?file ?engine ctx payload =
+let load_dialects ?native ?file ?engine ctx payload =
   match (payload, engine) with
   | Source.Text src, None ->
-      Irdl_core.Irdl.load ?native ?compile ?file ctx src
+      Irdl_core.Irdl.load ?native ?file ctx src
   | Source.Text src, Some engine ->
-      Ok (Irdl_core.Irdl.load_collect ?native ?compile ?file ~engine ctx src)
+      Ok (Irdl_core.Irdl.load_collect ?native ?file ~engine ctx src)
   | Source.Binary b, None ->
       Result.bind (Bytecode.read_dialects ?file b) (fun dls ->
           let rec reg = function
             | [] -> Ok dls
             | dl :: tl ->
                 Result.bind
-                  (Irdl_core.Registration.register ?native ?compile ctx dl)
+                  (Irdl_core.Registration.register ?native ctx dl)
                   (fun () -> reg tl)
           in
           reg dls)
@@ -152,7 +152,7 @@ let load_dialects ?native ?compile ?file ?engine ctx payload =
           List.iter
             (fun dl ->
               List.iter (Diag.Engine.emit engine)
-                (Irdl_core.Registration.register_collect ?native ?compile ctx
+                (Irdl_core.Registration.register_collect ?native ctx
                    dl))
             dls;
           Ok dls)

@@ -81,7 +81,6 @@ val parse_module :
 
 val load_dialects :
   ?native:Irdl_core.Native.t ->
-  ?compile:bool ->
   ?file:string ->
   ?engine:Diag.Engine.t ->
   Context.t ->

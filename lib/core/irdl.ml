@@ -18,7 +18,7 @@ let parse = Parser.parse_file
 
 (** Parse, resolve and register every dialect in [src] into [ctx]. Returns
     the resolved dialects for introspection. *)
-let load ?native ?compile ?file (ctx : Irdl_ir.Context.t) src :
+let load ?native ?file (ctx : Irdl_ir.Context.t) src :
     (Resolve.dialect list, Diag.t) result =
   let* asts = Parser.parse_file ?file src in
   let* resolved =
@@ -34,7 +34,7 @@ let load ?native ?compile ?file (ctx : Irdl_ir.Context.t) src :
     List.fold_left
       (fun acc dl ->
         let* () = acc in
-        Registration.register ?native ?compile ctx dl)
+        Registration.register ?native ctx dl)
       (Ok ()) resolved
   in
   Ok resolved
@@ -43,7 +43,7 @@ let load ?native ?compile ?file (ctx : Irdl_ir.Context.t) src :
     and registration is emitted to [engine], and every definition that
     survives is registered — a dialect file with three mistakes reports all
     three in one run, and its good definitions still work. *)
-let load_collect ?native ?compile ?file ~engine (ctx : Irdl_ir.Context.t) src
+let load_collect ?native ?file ~engine (ctx : Irdl_ir.Context.t) src
     : Resolve.dialect list =
   let asts =
     Parser.parse_file ?file ~engine src |> Result.value ~default:[]
@@ -56,14 +56,14 @@ let load_collect ?native ?compile ?file ~engine (ctx : Irdl_ir.Context.t) src
   List.iter
     (fun dl ->
       List.iter (Diag.Engine.emit engine)
-        (Registration.register_collect ?native ?compile ctx dl))
+        (Registration.register_collect ?native ctx dl))
     resolved;
   resolved
 
 (** [load] for sources containing exactly one dialect. *)
-let load_one ?native ?compile ?file ctx src : (Resolve.dialect, Diag.t) result
+let load_one ?native ?file ctx src : (Resolve.dialect, Diag.t) result
     =
-  let* dls = load ?native ?compile ?file ctx src in
+  let* dls = load ?native ?file ctx src in
   match dls with
   | [ dl ] -> Ok dl
   | dls ->

@@ -19,14 +19,13 @@ val parse :
     returns [Ok]; without it the first error is returned as [Error]. *)
 
 val load :
-  ?native:Native.t -> ?compile:bool -> ?file:string -> Irdl_ir.Context.t ->
-  string -> (Resolve.dialect list, Diag.t) result
+  ?native:Native.t -> ?file:string -> Irdl_ir.Context.t -> string ->
+  (Resolve.dialect list, Diag.t) result
 (** Parse, resolve and register every dialect in the source. Returns the
-    resolved dialects for introspection. [compile] (default [true]) selects
-    compiled constraint checkers; see {!Registration.register}. *)
+    resolved dialects for introspection. *)
 
 val load_collect :
-  ?native:Native.t -> ?compile:bool -> ?file:string ->
+  ?native:Native.t -> ?file:string ->
   engine:Diag.Engine.t -> Irdl_ir.Context.t -> string ->
   Resolve.dialect list
 (** Fail-soft variant of {!load}: every error across parsing, resolution
@@ -34,8 +33,8 @@ val load_collect :
     survives is registered, so one run reports all errors in a source. *)
 
 val load_one :
-  ?native:Native.t -> ?compile:bool -> ?file:string -> Irdl_ir.Context.t ->
-  string -> (Resolve.dialect, Diag.t) result
+  ?native:Native.t -> ?file:string -> Irdl_ir.Context.t -> string ->
+  (Resolve.dialect, Diag.t) result
 (** {!load} for sources containing exactly one dialect. *)
 
 val analyze :

@@ -1,7 +1,9 @@
 (** Dynamic dialect registration: resolved IRDL dialects into a live
     {!Irdl_ir.Context.t}. Every registered definition is a closure over the
     resolved constraints — the generated verifiers of the paper's Listing 2
-    — with no code generation involved (paper §3). *)
+    — with no code generation involved (paper §3). The verifiers evaluate
+    constraints with {!Constraint_expr.verify}, the one constraint engine;
+    the context's verify cache memoizes type and attribute checks. *)
 
 open Irdl_support
 open Irdl_ir
@@ -17,29 +19,16 @@ val assign_slots :
 val make_op_verifier :
   native:Native.t -> Resolve.op -> Graph.op -> (unit, Diag.t) result
 (** The generated operation verifier (arity, constraints with shared
-    variables, attributes, regions, successors, IRDL-C++ hooks). Partial
-    application to the resolved op lowers every constraint to its compiled
-    checker form once ({!Constraint_expr.compile}); registration stores the
-    returned closure. *)
-
-val make_op_verifier_interp :
-  native:Native.t -> Resolve.op -> Graph.op -> (unit, Diag.t) result
-(** The interpreted reference oracle: same semantics as
-    {!make_op_verifier}, re-walking the constraint tree on every check.
-    Used by differential tests and the verification benchmarks. *)
+    variables, attributes, regions, successors, IRDL-C++ hooks).
+    Registration stores its partial application to the resolved op. *)
 
 val register_collect :
-  ?native:Native.t -> ?compile:bool -> Context.t -> Resolve.dialect ->
-  Diag.t list
+  ?native:Native.t -> Context.t -> Resolve.dialect -> Diag.t list
 (** Register a resolved dialect, accumulating one error per definition that
     failed (duplicate registration, malformed declarative format) while all
     the others are registered. Declarative formats are compiled eagerly so
-    malformed specs fail at registration, not first use. [compile] (default
-    [true]) selects the compiled verifiers; [compile:false] registers the
-    interpreted reference verifiers instead, for benchmarking and
-    differential testing. *)
+    malformed specs fail at registration, not first use. *)
 
 val register :
-  ?native:Native.t -> ?compile:bool -> Context.t -> Resolve.dialect ->
-  (unit, Diag.t) result
+  ?native:Native.t -> Context.t -> Resolve.dialect -> (unit, Diag.t) result
 (** Like {!register_collect}, reporting only the first error. *)

@@ -86,6 +86,13 @@ let max_indent = 64
 let indent_string n = String.make (min n max_indent) ' '
 
 let pp_custom t ppf (op : Graph.op) (f : Opfmt.t) =
+  (* The custom form prints only the attributes its format names; any
+     other would be silently dropped. *)
+  if
+    List.exists
+      (fun (k, _) -> not (List.mem (Opfmt.Attr_ref k) f.items))
+      op.attrs
+  then raise Fallback;
   Fmt.pf ppf "%s" op.op_name;
   List.iter
     (fun (item : Opfmt.item) ->

@@ -2,9 +2,8 @@
 
 open Irdl_support
 module Context = Irdl_ir.Context
-module Verifier = Irdl_ir.Verifier
-module Frontend = Irdl_bytecode.Frontend
-module Source = Frontend.Source
+module Source = Irdl_bytecode.Frontend.Source
+module Job = Irdl_driver.Job
 
 type kind = Parse | Verify | Print | Emit_bytecode | Ping | Stats | Shutdown
 
@@ -204,79 +203,47 @@ let classify engine ~parse_failed ~verify_failed =
   else if verify_failed then Verify_error
   else Ok_
 
-(* The module-processing kinds mirror [irdl-opt]'s streaming chunk driver
-   exactly: parse (or decode), verify, emit and release one top-level op
-   at a time; parse diagnostics flow through the engine in parse order;
-   per-op verification results are held back and merged into the stable
-   [verify_ops_all] order at end-of-stream, and discarded when the parse
-   failed. The engine's handler renders into a buffer, so the response's
-   diagnostics section is byte-for-byte the one-shot stderr text. *)
+(* The module-processing kinds run the one-shot chunk pipeline
+   ([Irdl_driver.Job]) on its streaming path, so a response is what
+   [irdl-opt] would produce for the same input. The engine's handler
+   renders into a buffer, so the response's diagnostics section is
+   byte-for-byte the one-shot stderr text. *)
 let run_module ctx config rq =
-  let limits = Limits.meet config.limits rq.rq_limits in
   let engine = Diag.Engine.create () in
   let dbuf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer dbuf in
   Diag.Engine.add_handler engine (Diag.Engine.printer ppf);
-  let payload = Source.classify rq.rq_payload in
-  let want_verify = rq.rq_kind <> Parse in
-  let want_output =
-    match rq.rq_kind with Print | Emit_bytecode -> true | _ -> false
+  let job =
+    {
+      Job.default with
+      verify = rq.rq_kind <> Parse;
+      sink =
+        (match rq.rq_kind with
+        | Print -> Job.Text
+        | Emit_bytecode -> Job.Bytecode
+        | _ -> Job.Discard);
+      generic = config.generic;
+      limits = Limits.meet config.limits rq.rq_limits;
+    }
   in
-  let parse_failed = ref false and verify_failed = ref false in
-  let output = ref None in
-  let session =
-    Frontend.Stream.create ~file:rq.rq_file ~engine ~limits ctx payload
+  let r =
+    Job.run ctx job ~engine ~path:rq.rq_file (Source.classify rq.rq_payload)
   in
-  let sink =
-    if not want_output then None
-    else if rq.rq_kind = Emit_bytecode then Some (Frontend.Sink.bytecode ())
-    else Some (Frontend.Sink.text ~generic:config.generic ctx)
-  in
-  let vdiags = ref [] in
-  let rec drain () =
-    match Frontend.Stream.next session with
-    | Ok None | Error _ -> ()
-    | Ok (Some op) ->
-        if want_verify then
-          vdiags := Verifier.verify_all ctx op :: !vdiags;
-        Option.iter (fun s -> Frontend.Sink.push s op) sink;
-        Frontend.Stream.release op;
-        drain ()
-  in
-  drain ();
-  if Diag.Engine.error_count engine > 0 then parse_failed := true
-  else begin
-    let diags = Verifier.merge_diags (List.concat (List.rev !vdiags)) in
-    List.iter (Diag.Engine.emit engine) diags;
-    if diags <> [] then verify_failed := true
-    else
-      Option.iter
-        (fun s ->
-          match Frontend.Sink.close s with
-          | Ok out -> output := Some out
-          | Error d ->
-              Diag.Engine.emit engine d;
-              verify_failed := true)
-        sink
-  end;
   Format.pp_print_flush ppf ();
-  let status =
-    classify engine ~parse_failed:!parse_failed ~verify_failed:!verify_failed
-  in
-  let rs_output =
-    match (!output, rq.rq_kind) with
-    (* Text output gets the final newline [Fmt.pr "%s@."] would add;
-       bytecode is the raw blob. *)
-    | Some o, Print -> o ^ "\n"
-    | Some o, Emit_bytecode -> o
-    | _ -> ""
-  in
   {
     rs_id = rq.rq_id;
-    rs_status = status;
+    rs_status =
+      classify engine ~parse_failed:r.parse_failed
+        ~verify_failed:r.verify_failed;
     rs_errors = Diag.Engine.error_count engine;
     rs_diags = Buffer.contents dbuf;
-    rs_output;
+    (* Text output gets the final newline [Fmt.pr "%s@."] would add;
+       bytecode is the raw blob. *)
+    rs_output =
+      (match (r.output, rq.rq_kind) with
+      | Some o, Print -> o ^ "\n"
+      | Some o, _ -> o
+      | None, _ -> "");
     rs_retry_after_ms = None;
   }
 

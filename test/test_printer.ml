@@ -91,6 +91,30 @@ let roundtrip_custom () =
   let printed2, _ = roundtrip ctx reparsed in
   Alcotest.(check string) "print is stable" printed printed2
 
+let unnamed_attr_kept () =
+  let ctx = cmath_ctx () in
+  let op =
+    parse_op ctx
+      {|
+"t.wrap"() ({
+^bb0(%c: !cmath.complex<f32>):
+  %n = "cmath.norm"(%c) {tag = "x"} : (!cmath.complex<f32>) -> f32
+}) : () -> ()
+|}
+  in
+  (* cmath.norm's format names no attribute, so the op prints generically
+     instead of dropping [tag]. *)
+  let printed, reparsed = roundtrip ctx op in
+  Alcotest.(check bool) "attribute printed" true
+    (Astring_contains.contains printed {|{tag = "x"}|});
+  let kept = ref false in
+  Graph.Op.walk reparsed ~f:(fun (o : Graph.op) ->
+      if o.op_name = "cmath.norm" then
+        kept :=
+          Option.equal Attr.equal (Graph.Op.attr o "tag")
+            (Some (Attr.string "x")));
+  Alcotest.(check bool) "attribute survives the round trip" true !kept
+
 let roundtrip_generic_only () =
   let ctx = cmath_ctx () in
   let func =
@@ -180,6 +204,7 @@ let suite =
     tc "generic flag overrides formats" generic_flag_overrides;
     tc "fallback to generic on unprintable ops" fallback_on_invalid;
     tc "custom-format round trip is stable" roundtrip_custom;
+    tc "custom format never drops attributes" unnamed_attr_kept;
     tc "generic round trip" roundtrip_generic_only;
     tc "successors round trip" successors_printed;
     tc "nested regions round trip" nested_regions_roundtrip;

@@ -3,7 +3,8 @@
     identical diagnostics (order included), same fail-fast/fail-soft
     behavior — across hand-written inputs, error-recovery inputs and
     generated 10^3..10^4-op modules. Plus the release semantics the
-    streaming driver relies on. *)
+    streaming driver relies on, and the two paths of the shared chunk
+    pipeline ({!Irdl_driver.Job}) against each other. *)
 
 open Irdl_support
 module Attr = Irdl_ir.Attr
@@ -206,6 +207,74 @@ let sessions_are_independent () =
   Alcotest.(check int) "same count across sessions" c1 c2;
   Alcotest.(check string) "same text across sessions" t1 t2
 
+(* ---------------- the chunk pipeline ---------------- *)
+
+module Job = Irdl_driver.Job
+module Source = Irdl_bytecode.Frontend.Source
+
+(* The 5-chunk mixed input of the streaming cram test: valid chunks, a
+   verify error, a parse error, and a top-level forward reference. *)
+let mixed_chunks =
+  [
+    "%c = \"cmath.constant\"() {value = 2.0 : f32} : () -> \
+     !cmath.complex<f32>\n\
+     %m = \"cmath.mul\"(%c, %c) : (!cmath.complex<f32>, \
+     !cmath.complex<f32>) -> !cmath.complex<f32>\n";
+    "%bad = \"cmath.norm\"() : () -> f32\n";
+    "%p = \"cmath.mul\"(%x, : (i32) -> i32\n";
+    "%n = \"cmath.norm\"(%c2) : (!cmath.complex<f64>) -> f64\n\
+     %c2 = \"cmath.constant\"() {value = 1.0 : f64} : () -> \
+     !cmath.complex<f64>\n";
+    "%ok = \"cmath.constant\"() {value = 0.5 : f32} : () -> \
+     !cmath.complex<f32>\n";
+  ]
+
+(* Every output kind: streaming and materializing give the same flags,
+   diagnostics and output, chunk by chunk. *)
+let job_paths_agree () =
+  let ctx = Util.cmath_ctx () in
+  let run sink streaming =
+    let engine = Diag.Engine.create () in
+    let config = { Job.default with streaming; sink } in
+    let results =
+      List.mapi
+        (fun i chunk ->
+          let r =
+            Job.run ctx config ~engine
+              ~path:(Printf.sprintf "mixed-%d.mlir" i)
+              (Source.Text chunk)
+          in
+          (r.Job.parse_failed, r.verify_failed, r.output))
+        mixed_chunks
+    in
+    (results, messages engine)
+  in
+  List.iter
+    (fun (name, sink) ->
+      let streamed, s_diags = run sink true in
+      let materialized, m_diags = run sink false in
+      Alcotest.(check (list (pair bool bool)))
+        (name ^ ": flags")
+        [ (false, false); (false, true); (true, false); (false, false);
+          (false, false) ]
+        (List.map (fun (p, v, _) -> (p, v)) streamed);
+      Alcotest.(check (list (pair bool bool)))
+        (name ^ ": same flags")
+        (List.map (fun (p, v, _) -> (p, v)) materialized)
+        (List.map (fun (p, v, _) -> (p, v)) streamed);
+      Alcotest.(check int) (name ^ ": diagnostics") 3 (List.length s_diags);
+      Alcotest.(check (list string)) (name ^ ": same diagnostics") m_diags
+        s_diags;
+      Alcotest.(check (list (option string)))
+        (name ^ ": same output")
+        (List.map (fun (_, _, o) -> o) materialized)
+        (List.map (fun (_, _, o) -> o) streamed);
+      Alcotest.(check int)
+        (name ^ ": outputs of the clean chunks")
+        (if sink = Job.Discard then 0 else 3)
+        (List.length (List.filter_map (fun (_, _, o) -> o) streamed)))
+    [ ("discard", Job.Discard); ("text", Job.Text); ("bytecode", Job.Bytecode) ]
+
 (* ---------------- unified stats / sources ---------------- *)
 
 let stats_scopes () =
@@ -263,6 +332,8 @@ let suite =
       generated_errors;
     Alcotest.test_case "sessions are independent" `Quick
       sessions_are_independent;
+    Alcotest.test_case "Job: streaming = materializing, every sink" `Quick
+      job_paths_agree;
     Alcotest.test_case "Context.stats scopes" `Quick stats_scopes;
     Alcotest.test_case "Diag.Sources.drop" `Quick sources_drop;
   ]
