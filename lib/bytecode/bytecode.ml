@@ -873,7 +873,7 @@ let read_loc c strs =
 
 type mstate = {
   ms_vals : Graph.value option array;
-  mutable ms_forwards : (int * Graph.value) list;
+  ms_forwards : unit Graph.Forwards.t;
   mutable ms_skipped : bool;
   ms_budget : Limits.budget;
       (** session-wide (spans documents in a multi-doc buffer); blown
@@ -888,7 +888,7 @@ let ms_use c st idx =
   | None ->
       let v = Graph.Value.forward_ref (Printf.sprintf "bc%d" idx) in
       st.ms_vals.(idx) <- Some v;
-      st.ms_forwards <- (idx, v) :: st.ms_forwards;
+      Graph.Forwards.add st.ms_forwards () v;
       v
 
 (* Bind index [idx] to the fresh value [v] (an op result or block argument
@@ -909,7 +909,6 @@ let ms_def c st idx (v : Graph.value) =
       | Graph.Op_result { op; index } -> op.op_results.(index) <- ph
       | Graph.Block_arg { block; index } -> block.blk_args.(index) <- ph
       | _ -> ());
-      st.ms_forwards <- List.filter (fun (i, _) -> i <> idx) st.ms_forwards;
       ph
   | Some _ -> cfail c "value index %d defined twice" idx c.c_pos
 
@@ -1030,11 +1029,16 @@ and decode_region c strs pool st : Graph.region =
 (* ---------------- streaming session ---------------- *)
 
 (* Mirrors [Ir.Parser.Stream]: an op is yielded only once every forward
-   reference pending at its decode has resolved, so operands are exactly
-   what the materializing reader would produce; the pending FIFO preserves
-   document order. *)
+   reference created before the end of its decode has resolved, so
+   operands are exactly what the materializing reader would produce; the
+   pending FIFO preserves document order. *)
 
-type pending = { pd_op : Graph.op; mutable pd_forwards : Graph.value list }
+type pending = {
+  pd_op : Graph.op;
+  mutable pd_forwards : int;
+      (** [Graph.Forwards.count] when [pd_op] was decoded; 0 once its
+          document ended *)
+}
 
 type docstate = {
   d_cur : cursor;  (* limited to this document's payload *)
@@ -1105,14 +1109,14 @@ module Stream = struct
   let finish_doc sp doc =
     let st = doc.d_state in
     let outcome =
-      match st.ms_forwards with
+      match Graph.Forwards.unresolved st.ms_forwards with
       | [] -> Ok ()
       | forwards ->
           if st.ms_skipped then begin
             (* Skipped ops own the missing definitions; stand the
                placeholders down like a streamed-and-released subtree. *)
             List.iter
-              (fun (_, (v : Graph.value)) -> v.v_def <- Graph.Released)
+              (fun ((), (v : Graph.value)) -> v.v_def <- Graph.Released)
               forwards;
             Ok ()
           end
@@ -1126,7 +1130,7 @@ module Stream = struct
             in
             fail sp d
     in
-    Queue.iter (fun p -> p.pd_forwards <- []) sp.s_queue;
+    Queue.iter (fun p -> p.pd_forwards <- 0) sp.s_queue;
     sp.s_doc <- None;
     outcome
 
@@ -1134,7 +1138,7 @@ module Stream = struct
      document (if any) still parses, and hand queued ops out as-is. *)
   let abandon_doc sp doc =
     sp.s_cur.c_pos <- doc.d_cur.c_end;
-    Queue.iter (fun p -> p.pd_forwards <- []) sp.s_queue;
+    Queue.iter (fun p -> p.pd_forwards <- 0) sp.s_queue;
     sp.s_doc <- None
 
   let open_doc sp =
@@ -1177,7 +1181,7 @@ module Stream = struct
                 d_state =
                   {
                     ms_vals = Array.make total_vals None;
-                    ms_forwards = [];
+                    ms_forwards = Graph.Forwards.create ();
                     ms_skipped = false;
                     ms_budget = sp.s_budget;
                   };
@@ -1197,12 +1201,12 @@ module Stream = struct
     match Queue.peek_opt sp.s_queue with
     | None -> false
     | Some p ->
-        p.pd_forwards <-
-          List.filter
-            (fun (v : Graph.value) ->
-              match v.v_def with Graph.Forward_ref _ -> true | _ -> false)
-            p.pd_forwards;
-        p.pd_forwards = []
+        let settled =
+          match sp.s_doc with
+          | Some doc -> Graph.Forwards.settled doc.d_state.ms_forwards
+          | None -> 0
+        in
+        p.pd_forwards <= settled
 
   let decode_top doc =
     let len = doc.d_lens.(doc.d_i) in
@@ -1238,22 +1242,21 @@ module Stream = struct
                       | Error d -> Error d
                       | Ok () -> next sp))
               | op when
-                  (match doc.d_state.ms_forwards with
-                  | [] -> true
-                  | _ :: _ -> false)
-                  && Queue.is_empty sp.s_queue ->
+                  Queue.is_empty sp.s_queue
+                  && Graph.Forwards.(
+                       settled doc.d_state.ms_forwards
+                       = count doc.d_state.ms_forwards) ->
                   (* Nothing unresolved and nothing queued ahead: the op is
                      deliverable as-is, no need to round-trip the FIFO. *)
                   Ok (Some op)
               | op ->
-                  let forwards =
-                    List.map snd doc.d_state.ms_forwards
-                    |> List.filter (fun (v : Graph.value) ->
-                           match v.v_def with
-                           | Graph.Forward_ref _ -> true
-                           | _ -> false)
-                  in
-                  Queue.push { pd_op = op; pd_forwards = forwards } sp.s_queue;
+                  Queue.push
+                    {
+                      pd_op = op;
+                      pd_forwards =
+                        Graph.Forwards.count doc.d_state.ms_forwards;
+                    }
+                    sp.s_queue;
                   next sp)
           | Some doc -> (
               match finish_doc sp doc with
@@ -1313,13 +1316,8 @@ end
 
 let read_module ?file ?engine ?limits ctx s =
   let sp = Stream.create ?file ?engine ?limits ctx s in
-  let rec drain acc =
-    match Stream.next sp with
-    | Ok None -> Ok (List.rev acc)
-    | Ok (Some op) -> drain (op :: acc)
-    | Error d -> Error d
-  in
-  drain []
+  Irdl_ir.Parser.drain ~fail_soft:(Option.is_some engine) (fun () ->
+      Stream.next sp)
 
 (* ---------------- dialect decoding ---------------- *)
 

@@ -79,10 +79,12 @@ val read_module :
 (** Materialize every module document of the buffer. Fail-fast without
     [engine] (first error, as [Error]); fail-soft with it (errors emitted,
     decoding resumes at the next document boundary, always [Ok] with the
-    ops that decoded). Drains {!Stream} internally, so diagnostics are
-    identical to the streaming path. [limits] caps payload size, decoded
-    ops, region depth and wall time across the whole buffer; budget
-    violations abort the session even in fail-soft mode. *)
+    ops that decoded). It is [Irdl_ir.Parser.drain] over {!Stream}, so
+    diagnostics are identical to the streaming path. [limits] caps
+    payload size, decoded ops, region depth and wall time across the
+    whole buffer; a blown budget ends the session even in fail-soft mode,
+    where the budget diagnostic is emitted and the result is [Ok []], as
+    for text. *)
 
 val read_dialects :
   ?file:string ->

@@ -125,9 +125,8 @@ module Stream = struct
 end
 
 let parse_module ?file ?engine ?limits ctx payload =
-  match payload with
-  | Source.Text s -> Ir_parser.parse_ops ?file ?engine ?limits ctx s
-  | Source.Binary b -> Bytecode.read_module ?file ?engine ?limits ctx b
+  let s = Stream.create ?file ?engine ?limits ctx payload in
+  Ir_parser.drain ~fail_soft:(Option.is_some engine) (fun () -> Stream.next s)
 
 let load_dialects ?native ?file ?engine ctx payload =
   match (payload, engine) with

@@ -73,11 +73,14 @@ val parse_module :
   Context.t ->
   Source.payload ->
   (Graph.op list, Diag.t) result
-(** Materialize a whole payload: [Parser.parse_ops] for text,
-    [Bytecode.read_module] for bytecode; same fail-fast/fail-soft
-    [?engine] discipline as both. [limits] caps payload size, op count,
-    region depth and wall time (see {!Limits}); budget violations abort
-    the session even in fail-soft mode. *)
+(** Materialize a whole payload: [Irdl_ir.Parser.drain] over its
+    {!Stream}, as [Parser.parse_ops] and [Bytecode.read_module] are, so
+    all three behave alike. Without [engine] the first error is the
+    [Error]; with it errors are emitted and the result is [Ok] with the
+    ops that parsed. [limits] caps payload size, op count, region depth
+    and wall time (see {!Limits}); a blown budget ends the session in
+    either mode, and in fail-soft mode gives [Ok []] after emitting the
+    budget diagnostic. *)
 
 val load_dialects :
   ?native:Irdl_core.Native.t ->

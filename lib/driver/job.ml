@@ -39,33 +39,35 @@ let make_sink ctx config =
   | Text -> Some (Frontend.Sink.text ~generic:config.generic ctx)
   | Bytecode -> Some (Frontend.Sink.bytecode ())
 
-(* Parse the chunk. The streaming path verifies and emits each op as it
-   arrives and keeps none; the materializing path returns every op. The
-   second component yields the verification diagnostics, in
-   [Verifier.verify_ops_all] order either way. *)
+(* Parse the chunk in one pass over its session. The streaming path
+   verifies, emits and releases each op as it arrives and keeps none; the
+   materializing path keeps every op. The second component yields the
+   verification diagnostics, in [Verifier.verify_ops_all] order either
+   way. A session that ends on an error keeps nothing, as
+   [Frontend.parse_module] does. *)
 let parse ctx config ~engine ~path ~streamed sink payload =
-  let limits = config.limits in
-  if streamed then begin
-    let session = Frontend.Stream.create ~file:path ~engine ~limits ctx payload in
-    let vdiags = ref [] in
-    let rec drain () =
-      match Frontend.Stream.next session with
-      | Ok None | Error _ -> ()
-      | Ok (Some op) ->
-          if config.verify then vdiags := Verifier.verify_all ctx op :: !vdiags;
-          Option.iter (fun s -> Frontend.Sink.push s op) sink;
-          Frontend.Stream.release op;
-          drain ()
-    in
-    drain ();
-    ([], fun () -> Verifier.merge_diags (List.concat (List.rev !vdiags)))
-  end
-  else
-    let ops =
-      Frontend.parse_module ~file:path ~engine ~limits ctx payload
-      |> Result.value ~default:[]
-    in
-    (ops, fun () -> if config.verify then Verifier.verify_ops_all ctx ops else [])
+  let session =
+    Frontend.Stream.create ~file:path ~engine ~limits:config.limits ctx payload
+  in
+  let rec go kept vdiags =
+    match Frontend.Stream.next session with
+    | Ok None -> (List.rev kept, vdiags)
+    | Error _ -> ([], vdiags)
+    | Ok (Some op) when streamed ->
+        let vdiags =
+          if config.verify then Verifier.verify_all ctx op :: vdiags else vdiags
+        in
+        Option.iter (fun s -> Frontend.Sink.push s op) sink;
+        Frontend.Stream.release op;
+        go kept vdiags
+    | Ok (Some op) -> go (op :: kept) vdiags
+  in
+  let ops, vdiags = go [] [] in
+  ( ops,
+    fun () ->
+      if streamed then Verifier.merge_diags (List.concat (List.rev vdiags))
+      else if config.verify then Verifier.verify_ops_all ctx ops
+      else [] )
 
 (* Run the pipeline (even over an empty module: the timing report is still
    produced). Returns whether the passes succeeded and the transformed IR

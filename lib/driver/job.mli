@@ -5,16 +5,17 @@
     [irdl-opt] run, its [--jobs] workers and the resident server's
     requests — so their outputs and diagnostics cannot drift apart.
 
-    Two paths compute the same result byte for byte:
-    - {b streaming} (the default): parse, verify, emit and release one
-      top-level op at a time, so peak memory is bounded by the largest op
-      rather than the chunk. Per-op verification results are held back
+    Both paths pull the chunk's one [Frontend.Stream] session in one loop
+    and compute the same result byte for byte:
+    - {b streaming} (the default): verify, emit and release each
+      top-level op as it arrives, so peak memory is bounded by the largest
+      op rather than the chunk. Per-op verification results are held back
       and merged into {!Irdl_ir.Verifier.verify_ops_all}'s stable order at
       end of stream.
-    - {b materializing}: parse the whole chunk first. Taken when
-      [streaming = false] (the reference path the determinism gates compare
-      against) and whenever a pass pipeline runs, since passes transform
-      the module as a whole.
+    - {b materializing}: keep every op, then verify the whole chunk.
+      Taken when [streaming = false] (the reference path the determinism
+      gates compare against) and whenever a pass pipeline runs, since
+      passes transform the module as a whole.
 
     Parse diagnostics flow through the engine in parse order. A chunk that
     fails to parse is not verified; a chunk that fails to verify is not

@@ -675,6 +675,33 @@ let release op =
               Array.iter (fun (v : value) -> v.v_def <- Released) b.blk_args))
         o.regions)
 
+module Forwards = struct
+  type 'a t = { queue : ('a * value) Queue.t; mutable dropped : int }
+
+  let create () = { queue = Queue.create (); dropped = 0 }
+  let add t data v = Queue.add (data, v) t.queue
+  let count t = t.dropped + Queue.length t.queue
+
+  let resolved v =
+    match v.v_def with Forward_ref _ -> false | _ -> true
+
+  (* Resolved entries are dropped off the front as they are found, each at
+     most once. *)
+  let rec settled t =
+    match Queue.peek_opt t.queue with
+    | Some (_, v) when resolved v ->
+        ignore (Queue.pop t.queue);
+        t.dropped <- t.dropped + 1;
+        settled t
+    | _ -> t.dropped
+
+  let unresolved t =
+    Queue.fold
+      (fun acc (data, v) -> if resolved v then acc else (data, v) :: acc)
+      [] t.queue
+    |> List.rev
+end
+
 (** Replace every use of [from] by [to_] in operations nested inside [scope]
     (inclusive). With the intrusive use chains this touches only [from]'s
     actual users — O(uses × nesting depth) for the scope filter — instead of

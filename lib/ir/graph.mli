@@ -242,6 +242,31 @@ val release : op -> unit
     the caller drops its reference. The workhorse of
     {!Parser.Stream}-driven pipelines. *)
 
+(** Forward-reference bookkeeping for the IR readers, kept as MLIR's
+    parser keeps it: every placeholder ({!Value.forward_ref}) a reader
+    creates is added in creation order, with the reader's own data (a
+    name and the first use, say). Defining the value — patching the
+    placeholder's [v_def] in place — resolves it; nothing here needs to be
+    told. A reader handing out ops as it parses records {!count} at the
+    end of an op's parse and may hand the op out once {!settled} reaches
+    that number. Every operation is amortized O(1), so n forward
+    references cost O(n) in time and memory. *)
+module Forwards : sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val add : 'a t -> 'a -> value -> unit
+
+  val count : 'a t -> int
+  (** Placeholders added so far. *)
+
+  val settled : 'a t -> int
+  (** How many placeholders, oldest first, are resolved. *)
+
+  val unresolved : 'a t -> ('a * value) list
+  (** The placeholders still unresolved, in creation order. *)
+end
+
 val replace_uses_in : op -> from:value -> to_:value -> unit
 (** Replace every use of [from] by [to_] in operations nested inside the
     scope op (inclusive). Walks [from]'s use chain, not the scope. For

@@ -180,8 +180,9 @@ type t = {
           deliberately escapes the fail-soft recovery below *)
   mutable lookahead : lexed;
   values : (string, Graph.value) Hashtbl.t;
-  mutable forwards : (string * Loc.t * Graph.value) list;
-      (** pending forward references with the location of their first use *)
+  forwards : (string * Loc.t) Graph.Forwards.t;
+      (** forward placeholders, with the name and location of their first
+          use *)
 }
 
 (* Lex the next token; in fail-soft mode lexer errors go to the engine and
@@ -206,7 +207,7 @@ let create ?(file = "<string>") ?engine ?(limits = Limits.unlimited) ctx src =
   let buf = Sbuf.of_string ~file src in
   let p =
     { ctx; buf; engine; budget; lookahead = { tok = Eof; tloc = Loc.unknown };
-      values = Hashtbl.create 64; forwards = [] }
+      values = Hashtbl.create 64; forwards = Graph.Forwards.create () }
   in
   p.lookahead <- next_token_safe p;
   p
@@ -455,18 +456,17 @@ let use_value p ~loc name =
   | None ->
       let v = Graph.Value.forward_ref name in
       Hashtbl.replace p.values name v;
-      p.forwards <- (name, loc, v) :: p.forwards;
+      Graph.Forwards.add p.forwards (name, loc) v;
       v
 
 (** Bind a definition for [name]. If a forward placeholder exists it is
-    patched in place (keeping use identity) and returned. *)
+    patched in place (keeping use identity) and returned, which resolves
+    it in [p.forwards]. *)
 let define_value p name (fresh : Graph.value) =
   match Hashtbl.find_opt p.values name with
   | Some ({ v_def = Graph.Forward_ref _; _ } as placeholder) ->
       placeholder.v_ty <- fresh.v_ty;
       placeholder.v_def <- fresh.v_def;
-      p.forwards <- List.filter (fun (n, _, _) -> n <> name) p.forwards;
-      Hashtbl.replace p.values name placeholder;
       placeholder
   | _ ->
       Hashtbl.replace p.values name fresh;
@@ -829,248 +829,145 @@ and parse_custom_body p ~name ~od:_ ~(format : Opfmt.t) ~op_loc : Graph.op =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* End of input: a value used but never defined is an error — the first
+   one raised when fail-fast, every one emitted when fail-soft. *)
 let finish p =
-  match List.rev p.forwards with
-  | [] -> ()
-  | (name, use_loc, _) :: _ ->
-      Diag.raise_error ~loc:use_loc "use of undefined value %%%s" name
-
-(* Collect-mode counterpart of {!finish}: one located error per value that
-   was used but never defined. *)
-let finish_collect p engine =
   List.iter
-    (fun (name, use_loc, _) ->
-      Diag.Engine.emit engine
-        (Diag.error ~loc:use_loc "use of undefined value %%%s" name))
-    (List.rev p.forwards)
-
-(** Parse a sequence of top-level operations.
-
-    Without [engine] the parse is fail-fast: the first error aborts and is
-    returned as [Error]. With [engine] the parse is fail-soft: every
-    lexing/parsing error (and every use of an undefined value) is emitted
-    to the engine, parsing resumes at the next operation boundary, and the
-    result is always [Ok] with the operations that parsed. *)
-let parse_ops ?file ?engine ?limits ctx src : (Graph.op list, Diag.t) result =
-  match engine with
-  | None ->
-      Diag.protect_any (fun () ->
-          let p = create ?file ?limits ctx src in
-          let rec go acc =
-            match peek p with
-            | Eof -> List.rev acc
-            | _ -> go (parse_op p ~scope:None :: acc)
-          in
-          let ops = go [] in
-          finish p;
-          ops)
-  | Some engine ->
-      Ok
-        (match
-           Diag.protect_any (fun () ->
-               let p = create ?file ~engine ?limits ctx src in
-               let ops = ref [] in
-               let continue = ref true in
-               while !continue do
-                 if Diag.Engine.limit_reached engine then continue := false
-                 else
-                   match peek p with
-                   | Eof -> continue := false
-                   | Punct "}" ->
-                       (* Fallout of an earlier abandoned op — or a genuinely
-                          stray brace. Consume it either way so it cannot
-                          poison the ops after it. *)
-                       let brace_loc = loc p in
-                       ignore (advance p);
-                       if not (Diag.Engine.has_errors engine) then
-                         Diag.Engine.emit engine
-                           (Diag.error ~loc:brace_loc "unexpected '}'")
-                   | _ -> (
-                       let before = (loc p).start_pos.offset in
-                       match
-                         Diag.protect (fun () -> parse_op p ~scope:None)
-                       with
-                       | Ok op -> ops := op :: !ops
-                       | Error d ->
-                           Diag.Engine.emit engine d;
-                           resync_op p;
-                           if
-                             (loc p).start_pos.offset = before && peek p <> Eof
-                           then ignore (advance p))
-               done;
-               finish_collect p engine;
-               List.rev !ops)
-         with
-        | Ok ops -> ops
-        | Error d ->
-            Diag.Engine.emit engine d;
-            [])
+    (fun ((name, use_loc), _) ->
+      let d = Diag.error ~loc:use_loc "use of undefined value %%%s" name in
+      match p.engine with
+      | None -> raise (Diag.Error_exn d)
+      | Some e -> Diag.Engine.emit e d)
+    (Graph.Forwards.unresolved p.forwards)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming sessions                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The pull-based counterpart of [parse_ops]: one fully-parsed top-level
+(* The one top-level loop of the text format: one fully-parsed top-level
    operation at a time, so a driver can parse → verify → print → release
-   each op without the whole module ever being resident. The materializing
-   entry points above are kept untouched as the differential oracle; the
-   per-op machinery (lexer, [parse_op], panic-mode recovery) is shared, so
-   the two paths can only diverge in the top-level driver loop. *)
+   each op without the whole module ever being resident. [parse_ops] is
+   this session drained without release. *)
 module Stream = struct
-  (* A parsed op is only handed out once every forward reference that was
-     pending when its parse finished has been resolved: a consumer
-     verifying (or printing) the op immediately must see the same patched
-     values the materializing parser would have produced by the end of the
-     module. Ops are queued FIFO, each with a snapshot of the then-pending
-     forward values; the head is yielded as soon as its snapshot has
-     drained. Well-formed modules with no top-level forward references
-     (the overwhelmingly common case) keep the queue at length one. *)
+  (* A parsed op is only handed out once every forward reference created
+     before its parse finished has been resolved: a consumer verifying (or
+     printing) the op immediately must see the same patched values a
+     whole-module parse ends with. Ops are queued FIFO, each with the
+     forward count at the end of its parse; the head is yielded once that
+     many forwards are settled. Modules with no top-level forward
+     references keep the queue at length one. *)
   type pending = {
     pd_op : Graph.op;
-    pd_forwards : Graph.value list;
-        (** Forward placeholders unresolved when [pd_op] finished parsing. *)
+    pd_forwards : int;
+        (** [Graph.Forwards.count] when [pd_op] finished parsing *)
   }
 
   type session = {
-    sp : t;
-    s_engine : Diag.Engine.t option;
+    mutable s_parser : (t, Diag.t) result;
+        (** [Error] once the session has ended on that diagnostic (a failed
+            open, a fail-fast error, a blown budget): sticky, and the
+            parser is no longer held. *)
     s_queue : pending Queue.t;
-    mutable s_eof : bool;  (** No more input will be consumed. *)
-    mutable s_finished : bool;  (** End-of-parse bookkeeping done. *)
-    mutable s_failed : Diag.t option;
-        (** Fail-fast mode only: the error that ended the session. *)
+    mutable s_eof : bool;
+        (** Input consumed and the undefined-value check done; queued ops
+            are handed out as they are. *)
   }
 
   let create ?file ?engine ?limits ctx src =
     (* Session open can itself fail — payload over budget, injected fault —
        and must fail like everything else in a session: a sticky [Error]
        from [next], not an exception out of [create]. *)
-    match
+    let s_parser =
       Diag.protect_any (fun () -> create ?file ?engine ?limits ctx src)
-    with
-    | Ok sp ->
-        {
-          sp;
-          s_engine = engine;
-          s_queue = Queue.create ();
-          s_eof = false;
-          s_finished = false;
-          s_failed = None;
-        }
-    | Error d ->
-        (match engine with
-        | Some e -> Diag.Engine.emit e d
-        | None -> ());
-        {
-          sp = create ?file ?engine ctx "";
-          s_engine = engine;
-          s_queue = Queue.create ();
-          s_eof = true;
-          s_finished = true;
-          s_failed = Some d;
-        }
+    in
+    (match (s_parser, engine) with
+    | Error d, Some e -> Diag.Engine.emit e d
+    | _ -> ());
+    { s_parser; s_queue = Queue.create (); s_eof = false }
 
-  let resolved (v : Graph.value) =
-    match v.Graph.v_def with Graph.Forward_ref _ -> false | _ -> true
-
-  let ready pd = List.for_all resolved pd.pd_forwards
-
-  let head_ready s =
-    match Queue.peek_opt s.s_queue with
-    | Some pd -> ready pd
-    | None -> false
-
-  let snapshot_forwards p = List.map (fun (_, _, v) -> v) p.forwards
-
-  (* Consume one top-level item in fail-soft mode; mirrors the loop body of
-     [parse_ops ~engine] exactly (same sync points, same stray-brace
-     handling, same never-loop-without-consuming guard) so the diagnostic
-     stream is byte-identical. *)
-  let step_collect s engine =
-    let p = s.sp in
-    if Diag.Engine.limit_reached engine then s.s_eof <- true
+  (* Consume one top-level item. Fail-fast, a parse error raises. Fail-soft,
+     it is emitted and parsing resumes at the next operation boundary; a
+     stray [}] is consumed, and the loop never stands still. *)
+  let step s p =
+    let enqueue op =
+      Queue.add
+        { pd_op = op; pd_forwards = Graph.Forwards.count p.forwards }
+        s.s_queue
+    in
+    let limited =
+      match p.engine with
+      | Some e -> Diag.Engine.limit_reached e
+      | None -> false
+    in
+    if limited || peek p = Eof then begin
+      finish p;
+      s.s_eof <- true
+    end
     else
-      match peek p with
-      | Eof -> s.s_eof <- true
-      | Punct "}" ->
+      match (p.engine, peek p) with
+      | None, _ -> enqueue (parse_op p ~scope:None)
+      | Some e, Punct "}" ->
+          (* Fallout of an earlier abandoned op — or a genuinely stray
+             brace. Consume it either way so it cannot poison the ops after
+             it. *)
           let brace_loc = loc p in
           ignore (advance p);
-          if not (Diag.Engine.has_errors engine) then
-            Diag.Engine.emit engine
-              (Diag.error ~loc:brace_loc "unexpected '}'")
-      | _ -> (
+          if not (Diag.Engine.has_errors e) then
+            Diag.Engine.emit e (Diag.error ~loc:brace_loc "unexpected '}'")
+      | Some e, _ -> (
           let before = (loc p).start_pos.offset in
           match Diag.protect (fun () -> parse_op p ~scope:None) with
-          | Ok op ->
-              Queue.add
-                { pd_op = op; pd_forwards = snapshot_forwards p }
-                s.s_queue
+          | Ok op -> enqueue op
           | Error d ->
-              Diag.Engine.emit engine d;
+              Diag.Engine.emit e d;
               resync_op p;
               if (loc p).start_pos.offset = before && peek p <> Eof then
                 ignore (advance p))
 
-  (* Consume one top-level op in fail-fast mode; raises on error. *)
-  let step_failfast s =
-    let p = s.sp in
-    match peek p with
-    | Eof -> s.s_eof <- true
-    | _ ->
-        let op = parse_op p ~scope:None in
-        Queue.add
-          { pd_op = op; pd_forwards = snapshot_forwards p }
-          s.s_queue
-
-  (* End-of-input bookkeeping, once: the undefined-value check of [finish]
-     (fail-fast) or [finish_collect] (fail-soft). After it runs, any still-
-     pending ops are handed out as they are — exactly the values the
-     materializing parser would have returned. *)
-  let finish_stream s =
-    if not s.s_finished then begin
-      s.s_finished <- true;
-      match s.s_engine with
-      | Some engine -> finish_collect s.sp engine
-      | None -> finish s.sp
-    end
-
   let next s : (Graph.op option, Diag.t) result =
-    match s.s_failed with
-    | Some d -> Error d
-    | None ->
-        Diag.protect_any (fun () ->
-            let rec go () =
-              if head_ready s then Some (Queue.pop s.s_queue).pd_op
-              else if s.s_eof then begin
-                finish_stream s;
-                match Queue.take_opt s.s_queue with
-                | Some pd -> Some pd.pd_op
-                | None -> None
-              end
-              else begin
-                (match s.s_engine with
-                | Some engine -> step_collect s engine
-                | None -> step_failfast s);
-                go ()
-              end
-            in
-            go ())
-        |> function
+    match s.s_parser with
+    | Error d -> Error d
+    | Ok p -> (
+        let rec go () =
+          match Queue.peek_opt s.s_queue with
+          | Some pd
+            when s.s_eof || Graph.Forwards.settled p.forwards >= pd.pd_forwards
+            ->
+              Some (Queue.pop s.s_queue).pd_op
+          | _ when s.s_eof -> None
+          | _ ->
+              step s p;
+              go ()
+        in
+        match Diag.protect_any go with
         | Ok _ as ok -> ok
         | Error d ->
-            (* Fail-fast sessions die on their first error; fail-soft
-               sessions only land here on an internal error escaping
-               [protect], which the collect loop would also have aborted
-               on. *)
-            (match s.s_engine with
-            | Some engine -> Diag.Engine.emit engine d
-            | None -> ());
-            s.s_eof <- true;
-            s.s_failed <- Some d;
-            Error d
+            (* Fail-fast sessions end on their first error; fail-soft ones
+               only on a blown budget or an internal error, which escape
+               [protect] and end the whole parse. *)
+            Option.iter (fun e -> Diag.Engine.emit e d) p.engine;
+            s.s_parser <- Error d;
+            Error d)
 
   let release = Graph.release
 end
+
+(* Materialize a session. Fail-fast, the first [Error] is the result;
+   fail-soft, the session has already emitted it, and an error that ends a
+   fail-soft session (a blown budget) yields [Ok []]. *)
+let drain ~fail_soft next =
+  let rec go acc =
+    match next () with
+    | Ok (Some op) -> go (op :: acc)
+    | Ok None -> Ok (List.rev acc)
+    | Error _ when fail_soft -> Ok []
+    | Error d -> Error d
+  in
+  go []
+
+let parse_ops ?file ?engine ?limits ctx src =
+  let s = Stream.create ?file ?engine ?limits ctx src in
+  drain ~fail_soft:(Option.is_some engine) (fun () -> Stream.next s)
 
 (** Parse exactly one operation. *)
 let parse_op_string ?file ctx src =

@@ -18,7 +18,8 @@ val parse_ops :
   Context.t ->
   string ->
   (Graph.op list, Diag.t) result
-(** Parse a sequence of top-level operations.
+(** Parse a sequence of top-level operations: a {!Stream} session over
+    [src], {!drain}ed.
 
     Without [engine] the parse is fail-fast: it stops at the first error,
     returned as [Error]. With [engine] it is fail-soft: every
@@ -35,8 +36,10 @@ val parse_ops :
 (** Pull-based parse sessions: one fully-parsed top-level operation at a
     time (regions materialized per-op), so a driver can parse → verify →
     print → {!release} each op without the whole module ever being
-    resident. Shares the per-op machinery with {!parse_ops}; the sequence
-    of yielded ops and emitted diagnostics is identical. *)
+    resident. This is the text format's only top-level parse loop;
+    {!parse_ops} drains it. Forward references cost O(1) each to track,
+    so a module with n top-level uses before their definitions streams in
+    time and memory linear in n. *)
 module Stream : sig
   type session
   (** An in-progress streaming parse over one source buffer. *)
@@ -50,24 +53,37 @@ module Stream : sig
     session
   (** Open a session. As with {!parse_ops}, [engine] selects fail-soft
       collect-and-recover parsing; without it the first error ends the
-      session. [limits] caps the session's resources; a blown budget never
-      raises out of [create] or {!next} — it ends the session with a
-      sticky [Error] whose diagnostic carries the budget code. *)
+      session. [limits] caps the session's resources; a blown budget (or
+      an injected fault) never raises out of [create] or {!next} — it ends
+      the session with a sticky [Error] whose diagnostic carries its
+      code. *)
 
   val next : session -> (Graph.op option, Diag.t) result
-  (** The next top-level operation, [Ok None] at end of input, or — in
-      fail-fast mode — the error that ended the session (returned again on
-      every subsequent call). An op is yielded only once every top-level
-      forward reference pending at its parse has been resolved, so its
-      operands are exactly the values the materializing parser would have
-      produced; modules with no top-level forward references are parsed
-      strictly one op ahead. *)
+  (** The next top-level operation, [Ok None] at end of input, or the
+      error that ended the session (returned again on every subsequent
+      call): in fail-fast mode the first error, in fail-soft mode only a
+      blown budget or an internal error. An op is yielded only once every
+      forward reference created before the end of its parse has been
+      resolved, so its operands are exactly the values a whole-module
+      parse ends with; modules with no top-level forward references are
+      parsed strictly one op ahead. *)
 
   val release : Graph.op -> unit
   (** Alias of {!Graph.release}: call when done with a yielded op to let
       the GC reclaim its subtree while later ops may still name its
       results. *)
 end
+
+val drain :
+  fail_soft:bool ->
+  (unit -> ('a option, Diag.t) result) ->
+  ('a list, Diag.t) result
+(** Pull a session (the [next] of {!Stream}, of [Bytecode.Stream] or of
+    [Frontend.Stream]) to its end, keeping every op: the one materializing
+    loop behind {!parse_ops}, [Bytecode.read_module] and
+    [Frontend.parse_module]. Not [fail_soft]: the first [Error] is the
+    result. [fail_soft]: the session has already emitted its errors to the
+    engine, and one that ends the session (a blown budget) gives [Ok []]. *)
 
 val parse_op_string :
   ?file:string -> Context.t -> string -> (Graph.op, Diag.t) result

@@ -1,10 +1,17 @@
-(** The streaming frontend ({!Irdl_ir.Parser.Stream}) differentially
-    against the materializing parser: same ops, byte-identical printed IR,
-    identical diagnostics (order included), same fail-fast/fail-soft
-    behavior — across hand-written inputs, error-recovery inputs and
-    generated 10^3..10^4-op modules. Plus the release semantics the
-    streaming driver relies on, and the two paths of the shared chunk
-    pipeline ({!Irdl_driver.Job}) against each other. *)
+(** The streaming frontend ({!Irdl_ir.Parser.Stream}). [parse_ops] is the
+    same session drained without release, so the differential cases
+    compare streaming with release and per-op verification (merged at end
+    of stream) against the whole module parsed and verified at once: same
+    ops, byte-identical printed IR, identical diagnostics (order included)
+    — across hand-written inputs, error-recovery inputs, generated
+    10^3..10^4-op modules and a generated forward-reference module. The
+    cases whose output the two paths could only agree on by sharing one
+    loop (error recovery, top-level forward references, the fail-fast
+    error) are also pinned to recorded text. Plus the release semantics
+    the streaming driver relies on, the two paths of the shared chunk
+    pipeline ({!Irdl_driver.Job}) against each other, linear cost in the
+    number of forward references, and one budget contract for text and
+    bytecode. *)
 
 open Irdl_support
 module Attr = Irdl_ir.Attr
@@ -55,8 +62,9 @@ let materialize ?engine ctx src =
   | Error d -> (Error d, 0, "", [])
 
 (* Both paths over [src], asserting byte-identical output. Fail-soft runs
-   get fresh engines whose recorded diagnostics must also agree. *)
-let check_differential name src =
+   get fresh engines whose recorded diagnostics must also agree, and, when
+   given, equal [diags] and [ir]. *)
+let check_differential ?diags ?ir name src =
   let ctx = Context.create () in
   let em = Diag.Engine.create () in
   let m_res, m_count, m_text, m_vdiags = materialize ~engine:em ctx src in
@@ -71,7 +79,15 @@ let check_differential name src =
   Alcotest.(check (list string))
     (name ^ ": verify diagnostics")
     (List.map Diag.to_string m_vdiags)
-    (List.map Diag.to_string s_vdiags)
+    (List.map Diag.to_string s_vdiags);
+  Option.iter
+    (fun d ->
+      Alcotest.(check (list string)) (name ^ ": recorded diagnostics") d
+        (messages es))
+    diags;
+  Option.iter
+    (fun t -> Alcotest.(check string) (name ^ ": recorded IR") t s_text)
+    ir
 
 (* ---------------- hand-written inputs ---------------- *)
 
@@ -90,16 +106,45 @@ let regions () =
      }) : () -> ()\n\
      %x = \"t.const\"() : () -> f32\n"
 
+(* [n] top-level uses, then the [n] definitions they name: every use is
+   held back until the definitions arrive. *)
+let forward_module n =
+  let buf = Buffer.create (n * 80) in
+  for i = 0 to n - 1 do
+    Printf.bprintf buf "%%u%d = \"t.use\"(%%d%d) : (i32) -> i32\n" i i
+  done;
+  for i = 0 to n - 1 do
+    Printf.bprintf buf "%%d%d = \"t.def\"() : () -> i32\n" i
+  done;
+  Buffer.contents buf
+
 let forward_refs () =
   (* %m2 is used before its definition at top level: the session must hold
      the user back until the definition patches the placeholder. *)
-  check_differential "top-level forward refs"
+  check_differential "top-level forward refs" ~diags:[]
+    ~ir:
+      "%0 = \"t.use\"(%1) : (f32) -> (f32)\n\
+       %1 = \"t.def\"() : () -> (f32)\n\
+       %2 = \"t.use2\"(%0, %1) : (f32, f32) -> (f32)"
     "%0 = \"t.use\"(%m2) : (f32) -> f32\n\
      %m2 = \"t.def\"() : () -> f32\n\
-     %1 = \"t.use2\"(%0, %m2) : (f32, f32) -> f32\n"
+     %1 = \"t.use2\"(%0, %m2) : (f32, f32) -> f32\n";
+  check_differential "generated forward refs" (forward_module 1_000)
 
 let error_recovery () =
   check_differential "error recovery"
+    ~diags:
+      [
+        "<string>:2:21-22: error: at ':': expected ')'";
+        "<string>:4:7-12: error: at 't.use': expected '('";
+        "<string>:4:12-<string>:6:7: error: at '\"(%0) : (i32) -> \
+         ()\\n}\\n%3 = \"': unknown operation 't.use' in custom form";
+        "<string>:6:7-12: error: at 't.use': expected '('";
+        "<string>:6:12: error: unterminated string";
+        "<string>:7:1: error: at '<eof>': unknown operation 't.use' in \
+         custom form";
+      ]
+    ~ir:"%0 = \"t.const\"() : () -> (i32)"
     "%0 = \"t.const\"() : () -> i32\n\
      %1 = \"t.add\"(%0, %0 : (i32, i32) -> i32\n\
      \"bogus\n\
@@ -110,11 +155,11 @@ let error_recovery () =
 let fail_fast_error () =
   let src = "%0 = \"t.const\"() : () -> i32\n%1 = bogus\n" in
   let ctx = Context.create () in
-  let expected =
-    match Parser.parse_ops ctx src with
-    | Error d -> Diag.to_string d
-    | Ok _ -> Alcotest.fail "materializing parse unexpectedly succeeded"
-  in
+  let expected = "<string>:2:6-11: error: at 'bogus': expected an operation" in
+  (match Parser.parse_ops ctx src with
+  | Error d ->
+      Alcotest.(check string) "parse_ops error" expected (Diag.to_string d)
+  | Ok _ -> Alcotest.fail "materializing parse unexpectedly succeeded");
   let session = Parser.Stream.create ctx src in
   (* The first op parses and is yielded before the error is reached. *)
   (match Parser.Stream.next session with
@@ -210,7 +255,9 @@ let sessions_are_independent () =
 (* ---------------- the chunk pipeline ---------------- *)
 
 module Job = Irdl_driver.Job
-module Source = Irdl_bytecode.Frontend.Source
+module Bytecode = Irdl_bytecode.Bytecode
+module Frontend = Irdl_bytecode.Frontend
+module Source = Frontend.Source
 
 (* The 5-chunk mixed input of the streaming cram test: valid chunks, a
    verify error, a parse error, and a top-level forward reference. *)
@@ -275,6 +322,97 @@ let job_paths_agree () =
         (List.length (List.filter_map (fun (_, _, o) -> o) streamed)))
     [ ("discard", Job.Discard); ("text", Job.Text); ("bytecode", Job.Bytecode) ]
 
+(* ---------------- cost and budgets ---------------- *)
+
+(* A module with 4n forward references costs about 4x one with n on every
+   path, text and bytecode. Measured in allocated words, which are
+   deterministic where wall time is not: quadratic bookkeeping reads 9 to
+   16, and a session's fixed costs keep a linear one at or under 4. *)
+let forward_refs_linear () =
+  let ctx = Context.create () in
+  let words run input =
+    let before = Gc.minor_words () in
+    run input;
+    Gc.minor_words () -. before
+  in
+  let check name run small large =
+    let ratio = words run large /. words run small in
+    if ratio > 6.0 then
+      Alcotest.failf "%s: %.1fx the allocation for 4x the forward references"
+        name ratio
+  in
+  let stream src =
+    let s = Parser.Stream.create ctx src in
+    let rec go () =
+      match Parser.Stream.next s with
+      | Ok (Some op) ->
+          Parser.Stream.release op;
+          go ()
+      | Ok None -> ()
+      | Error d -> Alcotest.fail (Diag.to_string d)
+    in
+    go ()
+  in
+  let parse_ops src = ignore (Result.get_ok (Parser.parse_ops ctx src)) in
+  let job streaming src =
+    let engine = Diag.Engine.create () in
+    let r =
+      Job.run ctx
+        { Job.default with streaming; sink = Job.Text }
+        ~engine ~path:"forward.mlir" (Source.Text src)
+    in
+    Alcotest.(check bool) "printed" true (r.Job.output <> None)
+  in
+  let n = 2_000 in
+  let small = forward_module n and large = forward_module (4 * n) in
+  List.iter
+    (fun (name, run) -> check name run small large)
+    [
+      ("stream", stream);
+      ("parse_ops", parse_ops);
+      ("Job.run streaming", job true);
+      ("Job.run materializing", job false);
+    ];
+  let encode src =
+    Result.get_ok
+      (Bytecode.Write.module_to_string
+         (Result.get_ok (Parser.parse_ops ctx src)))
+  in
+  check "Bytecode.read_module"
+    (fun blob -> ignore (Result.get_ok (Bytecode.read_module ctx blob)))
+    (encode small) (encode large)
+
+(* One budget contract for both formats: a blown budget fails a fail-fast
+   parse with the budget diagnostic, and ends a fail-soft one with that
+   diagnostic emitted and [Ok []]. *)
+let budget_contract () =
+  let ctx = Context.create () in
+  let src = generated 10 in
+  let blob =
+    Result.get_ok
+      (Bytecode.Write.module_to_string
+         (Result.get_ok (Parser.parse_ops ctx src)))
+  in
+  let limits = Limits.create ~max_ops:2 () in
+  List.iter
+    (fun (name, payload) ->
+      (match Frontend.parse_module ~limits ctx payload with
+      | Error d ->
+          Alcotest.(check (option string))
+            (name ^ ": fail-fast code") (Some Limits.resource_exhausted) d.code
+      | Ok _ -> Alcotest.failf "%s: fail-fast parse succeeded" name);
+      let engine = Diag.Engine.create () in
+      (match Frontend.parse_module ~engine ~limits ctx payload with
+      | Ok ops -> Alcotest.(check int) (name ^ ": no ops") 0 (List.length ops)
+      | Error d -> Alcotest.failf "%s: Error %s" name (Diag.to_string d));
+      Alcotest.(check (list (option string)))
+        (name ^ ": the budget diagnostic emitted")
+        [ Some Limits.resource_exhausted ]
+        (List.map
+           (fun (d : Diag.t) -> d.code)
+           (Diag.Engine.diagnostics engine)))
+    [ ("text", Source.Text src); ("bytecode", Source.Binary blob) ]
+
 (* ---------------- unified stats / sources ---------------- *)
 
 let stats_scopes () =
@@ -336,4 +474,7 @@ let suite =
       job_paths_agree;
     Alcotest.test_case "Context.stats scopes" `Quick stats_scopes;
     Alcotest.test_case "Diag.Sources.drop" `Quick sources_drop;
+    Alcotest.test_case "forward refs: linear cost" `Quick forward_refs_linear;
+    Alcotest.test_case "budget: one contract for text and bytecode" `Quick
+      budget_contract;
   ]
