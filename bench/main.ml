@@ -337,12 +337,25 @@ let rec deep_raw n : Irdl_ir.Attr.t =
   if n = 0 then Attr.Int { value = 42L; ty = Attr.i64 }
   else
     Attr.Array
-      [
-        Attr.Dict
-          [ ("k0", deep_raw (n - 1)); ("k1", Attr.String "payload") ];
-        Attr.Dyn_attr
-          { dialect = "bench"; name = "node"; params = [ deep_raw (n - 1) ] };
-      ]
+      {
+        elems =
+          [
+            Attr.Dict
+              {
+                entries =
+                  [ ("k0", deep_raw (n - 1)); ("k1", Attr.String "payload") ];
+                hash = 0;
+              };
+            Attr.Dyn_attr
+              {
+                dialect = "bench";
+                name = "node";
+                params = [ deep_raw (n - 1) ];
+                hash = 0;
+              };
+          ];
+        hash = 0;
+      }
 
 let deep_a = lazy (deep_raw 10)
 let deep_b = lazy (deep_raw 10)
@@ -384,6 +397,108 @@ let intern_tests =
            let ctx = Irdl_ir.Context.create () in
            Irdl_rewrite.Cse.run ctx (make_big_module ())));
   ]
+
+(* Interning cost against depth: an attribute chain [[...[k : i32]...]]
+   and a type chain !t.c<!t.c<...<k : i64>...>>, [d] levels each, built
+   through the smart constructors, parsed from text, and verified in a
+   fresh context. Every run ends its chains in a leaf never interned
+   before. Linear cost shows as a 4x step from one depth to the next, a
+   quadratic one as 16x. *)
+let depths = [ 1000; 4000; 16000 ]
+
+let fresh_leaf =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    !n
+
+let construct_chains d =
+  let open Irdl_ir in
+  let leaf = Attr.int (Int64.of_int (fresh_leaf ())) in
+  let rec attr k a = if k = 0 then a else attr (k - 1) (Attr.array [ a ]) in
+  let rec ty k t =
+    if k = 0 then t
+    else ty (k - 1) (Attr.dynamic ~dialect:"t" ~name:"c" [ Attr.typ t ])
+  in
+  ignore (attr d leaf);
+  ignore (ty d (Attr.dynamic ~dialect:"t" ~name:"leaf" [ leaf ]))
+
+let chain_texts d =
+  let k = fresh_leaf () in
+  ( String.make d '[' ^ Printf.sprintf "%d : i32" k ^ String.make d ']',
+    String.concat "" (List.init d (fun _ -> "!t.c<"))
+    ^ Printf.sprintf "%d : i64" k ^ String.make d '>' )
+
+let parse_chains ctx (attr, ty) =
+  let ok = function
+    | Ok v -> v
+    | Error d -> failwith (Irdl_support.Diag.to_string d)
+  in
+  ( ok (Irdl_ir.Parser.parse_attr_string ctx attr),
+    ok (Irdl_ir.Parser.parse_type_string ctx ty) )
+
+(* Best of up to 3 runs, each on fresh input from [prepare] (untimed);
+   stops early once 2 s have been spent, so the slow end of a quadratic
+   curve is still measured, once. *)
+let best_time prepare =
+  let rec go k best spent =
+    if k = 0 || spent > 2. then best
+    else
+      let run = prepare () in
+      let t0 = Irdl_support.Monotonic.now_ns () in
+      run ();
+      let dt = Irdl_support.Monotonic.elapsed_s t0 in
+      go (k - 1) (Float.min best dt) (spent +. dt)
+  in
+  go 3 infinity 0.
+
+let depth_curve () =
+  List.map
+    (fun d ->
+      let ctx = Irdl_ir.Context.create () in
+      let construct_s = best_time (fun () () -> construct_chains d) in
+      let parse_s =
+        best_time (fun () ->
+            let texts = chain_texts d in
+            fun () -> ignore (parse_chains ctx texts))
+      in
+      let verify_s =
+        best_time (fun () ->
+            let a, ty = parse_chains ctx (chain_texts d) in
+            let vctx = Irdl_ir.Context.create () in
+            fun () ->
+              match
+                ( Irdl_ir.Verifier.verify_attr vctx a,
+                  Irdl_ir.Verifier.verify_ty vctx ty )
+              with
+              | Ok (), Ok () -> ()
+              | Error e, _ | _, Error e ->
+                  failwith (Irdl_support.Diag.to_string e))
+      in
+      Fmt.pr "%-45s %8.4f s %8.4f s %8.4f s@."
+        (Fmt.str "depth %d: construct / parse / verify" d)
+        construct_s parse_s verify_s;
+      (d, construct_s, parse_s, verify_s))
+    depths
+
+(* The CPU model, for the record next to the core count. *)
+let machine () =
+  match open_in "/proc/cpuinfo" with
+  | exception Sys_error _ -> "unknown"
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> "unknown"
+        | line -> (
+            match String.index_opt line ':' with
+            | Some i when String.starts_with ~prefix:"model name" line ->
+                String.trim
+                  (String.sub line (i + 1) (String.length line - i - 1))
+            | _ -> scan ())
+      in
+      let m = scan () in
+      close_in ic;
+      m
 
 (* ------------------------------------------------------------------ *)
 (* Verification engine benchmarks                                      *)
@@ -529,9 +644,11 @@ let find_ns rows suffix =
   in
   match List.find_opt matches rows with Some (_, ns) -> ns | None -> Float.nan
 
-(* Machine-readable summary backing the uniquing acceptance criterion:
-   interned equality must beat the deep structural walk by >= 5x. *)
-let emit_intern_json rows =
+(* Machine-readable summary backing the uniquing acceptance criteria:
+   interned equality must beat the deep structural walk by >= 5x, and the
+   depth curve must step about 4x, not 16x, per 4x of depth. The uniquer
+   counters are those before the curve ran. *)
+let emit_intern_json rows (ty_stats, attr_stats) curve =
   let deep = find_ns rows "attr-equal:deep-structural" in
   let interned = find_ns rows "attr-equal:interned" in
   let cse = find_ns rows "cse:synthetic-2000ops" in
@@ -540,7 +657,6 @@ let emit_intern_json rows =
       Float.nan
     else deep /. interned
   in
-  let ty_stats, attr_stats = Irdl_ir.Attr.uniquer_stats () in
   let stats_json (s : Irdl_ir.Intern.stats) =
     Fmt.str
       {|{ "nodes": %d, "hits": %d, "misses": %d, "hit_rate": %.4f }|}
@@ -548,18 +664,35 @@ let emit_intern_json rows =
       (Irdl_ir.Intern.hit_rate s)
   in
   let num f = if Float.is_nan f then "null" else Fmt.str "%.2f" f in
+  let curve_json =
+    String.concat ",\n"
+      (List.map
+         (fun (d, c, p, v) ->
+           Fmt.str
+             {|    { "depth": %d, "construct_s": %.6f, "parse_s": %.6f, "verify_s": %.6f }|}
+             d c p v)
+         curve)
+  in
   let json =
     Fmt.str
       {|{
+  "smoke": false,
+  "machine": %S,
+  "cores": %d,
   "deep_equal_ns": %s,
   "interned_equal_ns": %s,
   "equal_speedup": %s,
   "cse_synthetic_2000ops_ns": %s,
-  "uniquer": { "types": %s, "attrs": %s }
+  "uniquer": { "types": %s, "attrs": %s },
+  "depth_curve": [
+%s
+  ]
 }
 |}
+      (machine ())
+      (Domain.recommended_domain_count ())
       (num deep) (num interned) (num speedup) (num cse) (stats_json ty_stats)
-      (stats_json attr_stats)
+      (stats_json attr_stats) curve_json
   in
   let oc = open_out "BENCH_intern.json" in
   output_string oc json;
@@ -633,7 +766,12 @@ let () =
     Fmt.pr "@.############ Benchmarks: uniquing (hash-consing) ############@.";
     let intern_rows = benchmark intern_tests in
     print_rows intern_rows;
-    emit_intern_json intern_rows;
-    run_verify_benches ~smoke
+    let uniquer = Irdl_ir.Attr.uniquer_stats () in
+    run_verify_benches ~smoke;
+    (* Last: the curve leaves the shard holding about 10^5 deep nodes,
+       which the benches above should not run against. *)
+    Fmt.pr "@.############ Interning cost against depth ############@.";
+    let curve = depth_curve () in
+    emit_intern_json intern_rows uniquer curve
   end;
   Fmt.pr "@.done.@."

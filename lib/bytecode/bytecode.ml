@@ -152,7 +152,8 @@ let float_kind_code = function
    reference strictly earlier entries, so emission is post-order. *)
 let rec ty_ref w ty =
   let ty = Attr.intern_ty ty in
-  match Hashtbl.find_opt w.w_ty_refs (Attr.id_ty ty) with
+  let id = Attr.id_ty ty in
+  match Hashtbl.find_opt w.w_ty_refs id with
   | Some i -> i
   | None ->
       let b = Buffer.create 16 in
@@ -166,7 +167,7 @@ let rec ty_ref w ty =
           Buffer.add_char b (Char.chr (float_kind_code k))
       | Attr.Index -> Buffer.add_char b '\x03'
       | Attr.None_ty -> Buffer.add_char b '\x04'
-      | Attr.Function { inputs; outputs } ->
+      | Attr.Function { inputs; outputs; _ } ->
           let ins = List.map (ty_ref w) inputs in
           let outs = List.map (ty_ref w) outputs in
           Buffer.add_char b '\x05';
@@ -174,12 +175,12 @@ let rec ty_ref w ty =
           List.iter (add_uv b) ins;
           add_uv b (List.length outs);
           List.iter (add_uv b) outs
-      | Attr.Tuple tys ->
-          let refs = List.map (ty_ref w) tys in
+      | Attr.Tuple { elems; _ } ->
+          let refs = List.map (ty_ref w) elems in
           Buffer.add_char b '\x06';
           add_uv b (List.length refs);
           List.iter (add_uv b) refs
-      | Attr.Dynamic { dialect; name; params } ->
+      | Attr.Dynamic { dialect; name; params; _ } ->
           let refs = List.map (attr_ref w) params in
           Buffer.add_char b '\x07';
           add_uv b (str_ref w dialect);
@@ -188,13 +189,14 @@ let rec ty_ref w ty =
           List.iter (add_uv b) refs);
       let i = w.w_n_pool in
       w.w_n_pool <- i + 1;
-      Hashtbl.add w.w_ty_refs (Attr.id_ty ty) i;
+      Hashtbl.add w.w_ty_refs id i;
       Buffer.add_buffer w.w_pool b;
       i
 
 and attr_ref w a =
   let a = Attr.intern a in
-  match Hashtbl.find_opt w.w_attr_refs (Attr.id a) with
+  let id = Attr.id a in
+  match Hashtbl.find_opt w.w_attr_refs id with
   | Some i -> i
   | None ->
       let b = Buffer.create 16 in
@@ -216,12 +218,12 @@ and attr_ref w a =
       | Attr.String s ->
           Buffer.add_char b '\x24';
           add_uv b (str_ref w s)
-      | Attr.Array elts ->
-          let refs = List.map (attr_ref w) elts in
+      | Attr.Array { elems; _ } ->
+          let refs = List.map (attr_ref w) elems in
           Buffer.add_char b '\x25';
           add_uv b (List.length refs);
           List.iter (add_uv b) refs
-      | Attr.Dict entries ->
+      | Attr.Dict { entries; _ } ->
           let refs =
             List.map (fun (k, v) -> (str_ref w k, attr_ref w v)) entries
           in
@@ -256,7 +258,7 @@ and attr_ref w a =
           Buffer.add_char b '\x2c';
           add_uv b (str_ref w tag);
           add_uv b (str_ref w repr)
-      | Attr.Dyn_attr { dialect; name; params } ->
+      | Attr.Dyn_attr { dialect; name; params; _ } ->
           let refs = List.map (attr_ref w) params in
           Buffer.add_char b '\x2d';
           add_uv b (str_ref w dialect);
@@ -265,7 +267,7 @@ and attr_ref w a =
           List.iter (add_uv b) refs);
       let i = w.w_n_pool in
       w.w_n_pool <- i + 1;
-      Hashtbl.add w.w_attr_refs (Attr.id a) i;
+      Hashtbl.add w.w_attr_refs id i;
       Buffer.add_buffer w.w_pool b;
       i
 

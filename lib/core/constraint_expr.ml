@@ -160,7 +160,7 @@ let rec verify ~(native : Native.t) ~(env : env) (c : t) (a : Attr.t) :
       | _ -> Error (Fmt.str "expected an array parameter, got %a" Attr.pp a))
   | Array_of elem -> (
       match a with
-      | Attr.Array xs ->
+      | Attr.Array { elems = xs; _ } ->
           List.fold_left
             (fun acc x ->
               match acc with
@@ -170,14 +170,14 @@ let rec verify ~(native : Native.t) ~(env : env) (c : t) (a : Attr.t) :
       | _ -> Error (Fmt.str "expected an array parameter, got %a" Attr.pp a))
   | Array_exact elems -> (
       match a with
-      | Attr.Array xs when List.length xs = List.length elems ->
+      | Attr.Array { elems = xs; _ } when List.length xs = List.length elems ->
           List.fold_left2
             (fun acc c x ->
               match acc with
               | Error _ as e -> e
               | Ok env -> verify ~native ~env c x)
             (Ok env) elems xs
-      | Attr.Array xs ->
+      | Attr.Array { elems = xs; _ } ->
           Error
             (Fmt.str "expected an array of %d elements, got %d"
                (List.length elems) (List.length xs))

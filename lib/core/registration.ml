@@ -56,7 +56,7 @@ let assign_slots ~what ~seg_attr ~(op : Graph.op) (slots : Resolve.slot list)
     | _ -> (
         (* Multiple variadic groups: segment sizes must be explicit. *)
         match Graph.Op.attr op seg_attr with
-        | Some (Attr.Array entries) ->
+        | Some (Attr.Array { elems = entries; _ }) ->
             let* sizes =
               List.fold_left
                 (fun acc (a : Attr.t) ->

@@ -119,7 +119,7 @@ open Irdl_ir
 (** Size of a !cmath.BoundedVector value's [size] parameter. *)
 let bounded_vector_size (ty : Attr.ty) : int64 option =
   match ty with
-  | Attr.Dynamic { dialect = "cmath"; name = "BoundedVector"; params = [ _; Attr.Int { value; _ } ] }
+  | Attr.Dynamic { dialect = "cmath"; name = "BoundedVector"; params = [ _; Attr.Int { value; _ } ]; _ }
     ->
       Some value
   | _ -> None

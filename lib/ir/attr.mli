@@ -11,10 +11,19 @@
     uniquer shard, as MLIR's [MLIRContext] uniques its types and
     attributes: within one domain structurally equal nodes are physically
     equal and {!equal}/{!equal_ty} decide them with a pointer comparison
-    (values crossing domains fall back to the structural walk). The
-    variant constructors stay exposed for pattern matching only — never
-    build attribute values from them directly; route hand-assembled
-    values through {!intern} / {!intern_ty}. *)
+    (values crossing domains fall back to the structural walk).
+
+    {b Stored hashes.} Each composite node ([Function], [Tuple], [Dynamic],
+    [Array], [Dict], [Dyn_attr]) carries a [hash] field: its structural
+    hash, computed once by the constructors from its own fields and its
+    children's stored hashes. The uniquer keys on that hash and compares
+    children by pointer, so interning a node costs O(its own width)
+    however deep it is, and looking up an already-canonical node is O(1).
+
+    The variant constructors stay exposed for pattern matching; do not
+    build attribute values from them directly. A hand-assembled value
+    (tests, deserializers) may put any integer in [hash] and must go
+    through {!intern} / {!intern_ty}, which recompute it. *)
 
 type signedness = Signless | Signed | Unsigned
 type float_kind = BF16 | F16 | F32 | F64
@@ -24,9 +33,9 @@ type ty =
   | Float of float_kind
   | Index
   | None_ty
-  | Function of { inputs : ty list; outputs : ty list }
-  | Tuple of ty list
-  | Dynamic of { dialect : string; name : string; params : t list }
+  | Function of { inputs : ty list; outputs : ty list; hash : int }
+  | Tuple of { elems : ty list; hash : int }
+  | Dynamic of { dialect : string; name : string; params : t list; hash : int }
       (** A type defined at runtime by an IRDL [Type] definition. *)
 
 and t =
@@ -35,9 +44,10 @@ and t =
   | Int of { value : int64; ty : ty }
   | Float_attr of { value : float; ty : ty }
   | String of string
-  | Array of t list
-  | Dict of (string * t) list
-      (** Canonicalized to sorted key order at construction time. *)
+  | Array of { elems : t list; hash : int }
+  | Dict of { entries : (string * t) list; hash : int }
+      (** [entries] are canonicalized to sorted key order at construction
+          time. *)
   | Type of ty  (** A type used as an attribute. *)
   | Enum of { dialect : string; enum : string; case : string }
   | Symbol of string
@@ -47,7 +57,7 @@ and t =
       (** Escape hatch for IRDL-C++ [TypeOrAttrParam] parameters: [tag]
           names the registered native parameter kind, [repr] its printed
           form. *)
-  | Dyn_attr of { dialect : string; name : string; params : t list }
+  | Dyn_attr of { dialect : string; name : string; params : t list; hash : int }
       (** An attribute defined at runtime by an IRDL [Attribute]
           definition. *)
 
@@ -103,8 +113,11 @@ val bool_int : bool -> t
 val intern : t -> t
 (** The canonical node for a (possibly hand-assembled) attribute:
     structurally equal inputs return the same physical node, recursively
-    canonicalizing sub-terms (dictionary key order included). Idempotent,
-    and the identity on nodes produced by the constructors above.
+    canonicalizing sub-terms (dictionary key order and stored hashes
+    included). Idempotent, and the identity on nodes produced by the
+    constructors above. One table probe on a canonical node; linear in the
+    size of a hand-assembled one. Counts one uniquer hit or miss per node
+    it resolves.
     @raise Irdl_support.Diag.Error_exn on dictionaries with duplicate
     keys. *)
 
@@ -112,7 +125,8 @@ val intern_ty : ty -> ty
 
 val id : t -> int
 (** The unique integer id of the canonical node (interning first if
-    needed): [id a = id b] iff [equal a b], evaluated on one domain. Ids
+    needed; O(1) on a canonical node): [id a = id b] iff [equal a b],
+    evaluated on one domain. Ids
     are dense, stable for the process lifetime and domain-local — the
     uniquer tables are per-domain shards, so ids must never be compared
     across domains (per-domain caches key on them instead). Attribute and
@@ -141,7 +155,8 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 (** Structural; agrees with {!equal} ([equal a b] implies
-    [hash a = hash b]). *)
+    [hash a = hash b]). The stored hash of the canonical node, so O(1) on
+    an interned value. *)
 
 val hash_ty : ty -> int
 

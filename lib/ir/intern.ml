@@ -4,7 +4,9 @@
     equality is pointer comparison and re-construction of an existing node is
     a table hit. This module provides the same mechanism for our runtime:
     a {!Make}-generated table maps every constructed value to a canonical
-    physical node carrying a unique integer id.
+    physical node carrying a unique integer id. The domain supplies a key
+    whose hash and equality cost O(1) per node (see {!HASHED}), so one
+    probe decides a lookup however deep the node is.
 
     The table is strong (nodes live as long as the process, like MLIR's
     context-owned storage): the attribute population of a compilation session
@@ -16,8 +18,8 @@
 
 type stats = {
   nodes : int;  (** distinct canonical nodes currently in the table *)
-  hits : int;  (** intern calls answered by an existing node *)
-  misses : int;  (** intern calls that created a new node *)
+  hits : int;  (** resolved nodes answered by an existing node *)
+  misses : int;  (** resolved nodes inserted as new canonical nodes *)
 }
 
 let hit_rate { hits; misses; _ } =
@@ -36,9 +38,11 @@ let pp_stats ppf s =
     s.misses
     (100. *. hit_rate s)
 
-(** The structural identity of the interned domain. [equal]/[hash] must
-    agree ([equal a b] implies [hash a = hash b]); both may assume nothing
-    about prior interning of sub-terms. *)
+(** The identity of the interned domain. [equal]/[hash] must agree on the
+    nodes a caller inserts ([equal a b] implies [hash a = hash b]); a probe
+    whose hash disagrees just misses. Both must be O(1) in the depth of a
+    node — {!Attr} compares children by pointer and reads their stored
+    hashes — so that no operation here walks a subtree. *)
 module type HASHED = sig
   type t
 
@@ -53,29 +57,16 @@ module type S = sig
 
   val create : ?size:int -> unit -> table
 
-  val intern : table -> node -> node
-  (** [intern tbl x] returns the canonical node structurally equal to [x],
-      inserting [x] itself (with a fresh id) on first encounter. Idempotent:
-      [intern tbl (intern tbl x) == intern tbl x]. *)
+  val find : table -> node -> (node * int) option
+  (** One probe: the node in the table equal to [x], with its id. Counts a
+      hit when found; a miss is counted by {!add}. *)
 
-  val find : table -> node -> node option
-  (** Like {!intern} but never inserts; counts a hit when found. *)
-
-  val id : table -> node -> int
-  (** The unique id of [x]'s canonical node, interning it if needed. Ids are
-      dense, starting at 0, and never reused within a table. When [x] is
-      itself canonical (the common case: every constructor interns), the
-      lookup is O(1) via a physical-identity side table rather than a
-      structural re-hash of the whole node. *)
-
-  val mem : table -> node -> bool
+  val add : table -> node -> node * int
+  (** Insert [x] as canonical under a fresh id and count a miss. [x] must
+      not be equal to any node already in the table. Ids are dense,
+      starting at 0, and never reused within a table. *)
 
   val stats : table -> stats
-
-  val clear : table -> unit
-  (** Drop all nodes and reset counters. Canonical nodes handed out earlier
-      keep working as plain values but lose their identity guarantee; only
-      meant for tests and benchmarks. *)
 end
 
 module Make (H : HASHED) : S with type node = H.t = struct
@@ -83,90 +74,25 @@ module Make (H : HASHED) : S with type node = H.t = struct
 
   module Tbl = Hashtbl.Make (H)
 
-  (* Physical-identity side table over canonical nodes. The depth-limited
-     [Hashtbl.hash] only picks a bucket (O(1) even on huge trees); [(==)]
-     decides membership, which is sound because only canonical nodes are
-     ever inserted and each one is inserted exactly once. This is what makes
-     [id] O(1) on an already-interned node instead of a full structural
-     re-hash — the property the verification cache's "dense key" relies on. *)
-  module Phys = Hashtbl.Make (struct
-    type t = H.t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
-
   type table = {
-    tbl : (node * int) Tbl.t;
-    phys : int Phys.t;  (** canonical node ↦ id *)
-    mutable next_id : int;
+    tbl : (node * int) Tbl.t;  (** canonical node ↦ itself and its id *)
     mutable hits : int;
     mutable misses : int;
   }
 
-  let create ?(size = 1024) () =
-    {
-      tbl = Tbl.create size;
-      phys = Phys.create size;
-      next_id = 0;
-      hits = 0;
-      misses = 0;
-    }
-
-  let insert t x =
-    let id = t.next_id in
-    t.misses <- t.misses + 1;
-    Tbl.add t.tbl x (x, id);
-    Phys.add t.phys x id;
-    t.next_id <- t.next_id + 1;
-    id
-
-  let intern t x =
-    if Phys.mem t.phys x then begin
-      t.hits <- t.hits + 1;
-      x
-    end
-    else
-      match Tbl.find_opt t.tbl x with
-      | Some (canonical, _) ->
-          t.hits <- t.hits + 1;
-          canonical
-      | None ->
-          ignore (insert t x);
-          x
+  let create ?(size = 1024) () = { tbl = Tbl.create size; hits = 0; misses = 0 }
 
   let find t x =
-    if Phys.mem t.phys x then begin
-      t.hits <- t.hits + 1;
-      Some x
-    end
-    else
-      match Tbl.find_opt t.tbl x with
-      | Some (canonical, _) ->
-          t.hits <- t.hits + 1;
-          Some canonical
-      | None -> None
-
-  let id t x =
-    match Phys.find_opt t.phys x with
-    | Some id ->
+    match Tbl.find_opt t.tbl x with
+    | Some _ as r ->
         t.hits <- t.hits + 1;
-        id
-    | None -> (
-        match Tbl.find_opt t.tbl x with
-        | Some (_, id) ->
-            t.hits <- t.hits + 1;
-            id
-        | None -> insert t x)
+        r
+    | None -> None
 
-  let mem t x = Phys.mem t.phys x || Tbl.mem t.tbl x
+  let add t x =
+    let r = (x, Tbl.length t.tbl) in
+    t.misses <- t.misses + 1;
+    Tbl.add t.tbl x r;
+    r
 
-  let stats t = { nodes = Tbl.length t.tbl; hits = t.hits; misses = t.misses }
-
-  let clear t =
-    Tbl.reset t.tbl;
-    Phys.reset t.phys;
-    t.next_id <- 0;
-    t.hits <- 0;
-    t.misses <- 0
-end
+  let stats t = { nodes = Tbl.length t.tbl; hits = t.hits; misses = t.misses }end

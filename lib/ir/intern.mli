@@ -3,12 +3,13 @@
     A table maps every constructed value of a domain to a canonical physical
     node carrying a unique integer id, so that structural equality of interned
     values collapses to pointer/id comparison. Instantiated by {!Attr} for
-    the type and attribute domains. *)
+    the type and attribute domains, whose keys hash and compare in O(1) per
+    node, so a lookup is one probe however deep the node is. *)
 
 type stats = {
   nodes : int;  (** distinct canonical nodes currently in the table *)
-  hits : int;  (** intern calls answered by an existing node *)
-  misses : int;  (** intern calls that created a new node *)
+  hits : int;  (** resolved nodes answered by an existing node *)
+  misses : int;  (** resolved nodes inserted as new canonical nodes *)
 }
 
 val hit_rate : stats -> float
@@ -20,8 +21,12 @@ val add_stats : stats -> stats -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** The structural identity of the interned domain. [equal]/[hash] must
-    agree ([equal a b] implies [hash a = hash b]). *)
+(** The identity of the interned domain. [equal]/[hash] must agree on the
+    nodes a caller inserts ([equal a b] implies [hash a = hash b]); a probe
+    whose hash disagrees just misses. Both should cost O(1) in the depth of
+    a node: {!Attr} compares children by pointer and reads their stored
+    hashes, which is exact because only nodes with canonical children are
+    ever inserted. *)
 module type HASHED = sig
   type t
 
@@ -35,23 +40,16 @@ module type S = sig
 
   val create : ?size:int -> unit -> table
 
-  val intern : table -> node -> node
-  (** [intern tbl x] returns the canonical node structurally equal to [x],
-      inserting [x] itself (with a fresh id) on first encounter. Idempotent:
-      [intern tbl (intern tbl x) == intern tbl x]. *)
+  val find : table -> node -> (node * int) option
+  (** One probe: the node in the table equal to [x] under [H.equal], with
+      its id. Counts a hit when found; a miss is counted by {!add}. *)
 
-  val find : table -> node -> node option
-  (** Like {!intern} but never inserts; counts a hit when found. *)
+  val add : table -> node -> node * int
+  (** Insert [x] as canonical under a fresh id and count a miss. [x] must
+      not be equal to any node already in the table. Ids are dense,
+      starting at 0, and never reused within a table. *)
 
-  val id : table -> node -> int
-  (** The unique id of [x]'s canonical node, interning it if needed. Ids are
-      dense, starting at 0, and never reused within a table. *)
-
-  val mem : table -> node -> bool
   val stats : table -> stats
-
-  val clear : table -> unit
-  (** Drop all nodes and reset counters (tests and benchmarks only). *)
 end
 
 module Make (H : HASHED) : S with type node = H.t

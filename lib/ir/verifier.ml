@@ -24,7 +24,7 @@ let rec verify_ty ctx (ty : Attr.ty) =
 
 and verify_ty_uncached ctx (ty : Attr.ty) =
   match ty with
-  | Attr.Dynamic { dialect; name; params } -> (
+  | Attr.Dynamic { dialect; name; params; _ } -> (
       let* () = verify_params ctx params in
       match Context.lookup_type ctx ~dialect ~name with
       | Some td ->
@@ -35,10 +35,10 @@ and verify_ty_uncached ctx (ty : Attr.ty) =
       | None ->
           if ctx.allow_unregistered then Ok ()
           else Diag.errorf "unregistered type '!%s.%s'" dialect name)
-  | Attr.Function { inputs; outputs } ->
+  | Attr.Function { inputs; outputs; _ } ->
       let* () = verify_tys ctx inputs in
       verify_tys ctx outputs
-  | Attr.Tuple tys -> verify_tys ctx tys
+  | Attr.Tuple { elems; _ } -> verify_tys ctx elems
   | _ -> Ok ()
 
 and verify_tys ctx = function
@@ -58,9 +58,9 @@ and verify_attr ctx (a : Attr.t) =
 
 and verify_attr_uncached ctx (a : Attr.t) =
   match a with
-  | Attr.Array xs -> verify_params ctx xs
-  | Attr.Dict kvs -> verify_params ctx (List.map snd kvs)
-  | Attr.Dyn_attr { dialect; name; params } -> (
+  | Attr.Array { elems; _ } -> verify_params ctx elems
+  | Attr.Dict { entries; _ } -> verify_params ctx (List.map snd entries)
+  | Attr.Dyn_attr { dialect; name; params; _ } -> (
       let* () = verify_params ctx params in
       match Context.lookup_attr ctx ~dialect ~name with
       | Some ad ->

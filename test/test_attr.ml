@@ -19,9 +19,10 @@ let builtin_printing () =
 
 let aggregate_printing () =
   Alcotest.(check string) "tuple" "tuple<i32, f32>"
-    (Attr.ty_to_string (Attr.Tuple [ Attr.i32; Attr.f32 ]));
+    (Attr.ty_to_string (Attr.Tuple { elems = [ Attr.i32; Attr.f32 ]; hash = 0 }));
   Alcotest.(check string) "function" "(i32) -> (f32)"
-    (Attr.ty_to_string (Attr.Function { inputs = [ Attr.i32 ]; outputs = [ Attr.f32 ] }))
+    (Attr.ty_to_string
+       (Attr.Function { inputs = [ Attr.i32 ]; outputs = [ Attr.f32 ]; hash = 0 }))
 
 let dynamic_printing () =
   Alcotest.(check string) "no params" "!cmath.complex"
@@ -113,7 +114,7 @@ let ty_gen =
           (3, base);
           ( 1,
             let* elts = list_size (int_range 0 3) (ty (n - 1)) in
-            return (Attr.Tuple elts) );
+            return (Attr.Tuple { elems = elts; hash = 0 }) );
           ( 1,
             let* params = list_size (int_range 0 2) (ty (n - 1)) in
             return
@@ -122,7 +123,7 @@ let ty_gen =
           ( 1,
             let* i = list_size (int_range 0 2) (ty (n - 1)) in
             let* o = list_size (int_range 1 2) (ty (n - 1)) in
-            return (Attr.Function { inputs = i; outputs = o }) );
+            return (Attr.Function { inputs = i; outputs = o; hash = 0 }) );
         ]
   in
   ty 3

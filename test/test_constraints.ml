@@ -55,7 +55,9 @@ let base_type () =
   check_unsat "arity" wrong_arity (tyv complex_f32)
 
 let base_attr () =
-  let a = Attr.Dyn_attr { dialect = "d"; name = "a"; params = [ Attr.int 1L ] } in
+  let a =
+    Attr.Dyn_attr { dialect = "d"; name = "a"; params = [ Attr.int 1L ]; hash = 0 }
+  in
   check_sat "base attr"
     (C.Base_attr { dialect = "d"; name = "a"; params = None })
     a;

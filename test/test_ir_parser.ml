@@ -25,16 +25,18 @@ let types_builtin () =
 
 let types_composite () =
   Alcotest.(check bool) "tuple" true
-    (Attr.equal_ty (Attr.Tuple [ Attr.i32; Attr.f32 ]) (parse_ty "tuple<i32, f32>"));
+    (Attr.equal_ty
+       (Attr.Tuple { elems = [ Attr.i32; Attr.f32 ]; hash = 0 })
+       (parse_ty "tuple<i32, f32>"));
   Alcotest.(check bool) "empty tuple" true
-    (Attr.equal_ty (Attr.Tuple []) (parse_ty "tuple<>"));
+    (Attr.equal_ty (Attr.Tuple { elems = []; hash = 0 }) (parse_ty "tuple<>"));
   Alcotest.(check bool) "function" true
     (Attr.equal_ty
-       (Attr.Function { inputs = [ Attr.i32 ]; outputs = [ Attr.f32 ] })
+       (Attr.Function { inputs = [ Attr.i32 ]; outputs = [ Attr.f32 ]; hash = 0 })
        (parse_ty "(i32) -> f32"));
   Alcotest.(check bool) "function parens" true
     (Attr.equal_ty
-       (Attr.Function { inputs = []; outputs = [ Attr.f32; Attr.i32 ] })
+       (Attr.Function { inputs = []; outputs = [ Attr.f32; Attr.i32 ]; hash = 0 })
        (parse_ty "() -> (f32, i32)"))
 
 let types_dynamic () =
@@ -98,7 +100,8 @@ let attrs_special () =
        (parse_at "#cmath<signedness.Signed>"));
   Alcotest.(check bool) "dyn attr" true
     (Attr.equal
-       (Attr.Dyn_attr { dialect = "d"; name = "a"; params = [ Attr.int 1L ] })
+       (Attr.Dyn_attr
+          { dialect = "d"; name = "a"; params = [ Attr.int 1L ]; hash = 0 })
        (parse_at "#d.a<1>"));
   Alcotest.(check bool) "opaque" true
     (Attr.equal (Attr.opaque ~tag:"P" "body") (parse_at "#native<P, \"body\">"));

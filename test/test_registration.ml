@@ -216,12 +216,13 @@ let attr_def_verifiers () =
   let good =
     Attr.Dyn_attr
       { dialect = "cmath"; name = "StringAttr";
-        params = [ Attr.opaque ~tag:"StringParam" "x" ] }
+        params = [ Attr.opaque ~tag:"StringParam" "x" ]; hash = 0 }
   in
   verify_ok ctx (Graph.Op.create ~attrs:[ ("a", good) ] "t.v");
   let bad =
     Attr.Dyn_attr
-      { dialect = "cmath"; name = "StringAttr"; params = [ Attr.int 1L ] }
+      { dialect = "cmath"; name = "StringAttr"; params = [ Attr.int 1L ];
+        hash = 0 }
   in
   verify_err ctx (Graph.Op.create ~attrs:[ ("a", bad) ] "t.v")
 

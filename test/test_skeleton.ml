@@ -31,7 +31,7 @@ let simple_example_types () =
       { dialect = "builtin"; name = "tensor"; params = None }
   in
   match S.example_ty ~lookup c with
-  | Some (Irdl_ir.Attr.Dynamic { dialect = "builtin"; name = "tensor"; params })
+  | Some (Irdl_ir.Attr.Dynamic { dialect = "builtin"; name = "tensor"; params; _ })
     ->
       Alcotest.(check int) "two params" 2 (List.length params)
   | _ -> Alcotest.fail "expected a tensor type"

@@ -45,7 +45,8 @@ let nested_type_verification () =
   (* ... inside a function type *)
   verify_err ctx
     (Graph.Op.create
-       ~result_tys:[ Attr.Function { inputs = [ bad_ty ]; outputs = [] } ]
+       ~result_tys:
+         [ Attr.Function { inputs = [ bad_ty ]; outputs = []; hash = 0 } ]
        "t.x");
   (* ... as a dynamic-type parameter of another dynamic type *)
   verify_err ctx
@@ -57,7 +58,8 @@ let nested_type_verification () =
 let nested_attr_verification () =
   let ctx = cmath_ctx () in
   let bad =
-    Attr.Dyn_attr { dialect = "cmath"; name = "StringAttr"; params = [] }
+    Attr.Dyn_attr
+      { dialect = "cmath"; name = "StringAttr"; params = []; hash = 0 }
   in
   verify_err ~containing:"expects 1 parameters" ctx
     (Graph.Op.create ~attrs:[ ("a", bad) ] "t.x");
@@ -154,7 +156,11 @@ let function_types_verified () =
   verify_err ctx
     (Graph.Op.create
        ~result_tys:
-         [ Attr.Tuple [ Attr.dynamic ~dialect:"d" ~name:"t" [ Attr.int 1L ] ] ]
+         [
+           Attr.Tuple
+             { elems = [ Attr.dynamic ~dialect:"d" ~name:"t" [ Attr.int 1L ] ];
+               hash = 0 };
+         ]
        "d.op")
 
 let suite =
